@@ -53,7 +53,6 @@ func main() {
 		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl (padtrace input) or chrome (Perfetto / chrome://tracing)")
 		chart       = flag.Bool("chart", false, "plot the cluster feed draw and mean battery SOC over the run")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for -compare (1 = sequential)")
-		rackWorkers = flag.Int("rack-workers", 0, "intra-run rack-kernel goroutines (0/1 = serial; results are bit-identical either way, worthwhile only for large clusters)")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
 	logFlags := obs.AddLogFlags(flag.CommandLine)
@@ -85,12 +84,11 @@ func main() {
 		OvershootTolerance:    *tolerance,
 		Background:            noisyBackground(*racks**spr, *bgMean, *duration, *seed),
 		StopOnTrip:            *stopOnTrip,
-		Workers:               *rackWorkers,
 	}
 	logger.Debug("scenario configured",
 		"scheme", *schemeName, "compare", *compare, "racks", *racks,
 		"servers_per_rack", *spr, "duration", *duration, "tick", *tick,
-		"attack_nodes", *attackNodes, "seed", *seed, "rack_workers", *rackWorkers)
+		"attack_nodes", *attackNodes, "seed", *seed)
 	// An Attack is stateful and stepped by the engine, so every run needs
 	// its own instance; mkAttack builds one from the flags.
 	mkAttack := func() *sim.AttackSpec {

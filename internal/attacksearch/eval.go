@@ -112,7 +112,6 @@ func evaluate(s Scenario, schemeName string, bg []*stats.Series, noSkip bool) (O
 	if err != nil {
 		return Outcome{}, err
 	}
-	defer st.Close()
 
 	minMargin := rackNameplate(s)
 	for {

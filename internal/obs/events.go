@@ -9,9 +9,9 @@
 //     allocates or formats anything on behalf of tracing.
 //   - Determinism. Events carry simulation time only (tick indices) —
 //     never wall clock — so a traced run's event stream is a pure
-//     function of the run's inputs, bit-identical across worker counts
-//     and across machines. All rendering (JSON, Chrome trace) happens at
-//     flush time, outside the tick loop.
+//     function of the run's inputs, bit-identical across machines. All
+//     rendering (JSON, Chrome trace) happens at flush time, outside the
+//     tick loop.
 //
 // A corollary the engine's quiescent fast path (sim.Config.SkipQuiescent)
 // relies on: quiescent ticks emit no events. Every emission above is

@@ -174,6 +174,10 @@ func (c SessionConfig) Validate() error {
 	if c.EventLog < 0 {
 		return fmt.Errorf("padd: event log capacity must be non-negative, got %d", c.EventLog)
 	}
+	// The negated range test also rejects NaN.
+	if !(c.MicroFraction >= 0 && c.MicroFraction <= 1) {
+		return fmt.Errorf("padd: micro fraction must be in [0,1], got %v", c.MicroFraction)
+	}
 	return nil
 }
 

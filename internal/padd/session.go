@@ -556,7 +556,7 @@ func (s *Session) processFlat(b flatBatch) {
 	for i := 0; i < b.samples; i++ {
 		if s.st.Done() {
 			s.discarded += int64(b.samples - i)
-			s.publish(0)
+			s.publish(s.st.Stats(), 0)
 			break
 		}
 		u := b.u[i*servers : (i+1)*servers]
@@ -655,7 +655,7 @@ func (s *Session) step(u []float64) {
 		s.finished = true
 		s.event(EventFinished, fmt.Sprintf("horizon reached after %d ticks", ts.Ticks))
 	}
-	s.publish(elapsed)
+	s.publish(ts, elapsed)
 }
 
 // closeExcursion resolves the open CUSUM excursion (flagged or
@@ -677,12 +677,11 @@ func (s *Session) rollupLeave() {
 	r.margin[s.rlMargin].Add(-1)
 }
 
-// publish refreshes the cross-goroutine snapshot, appends the tick to
-// the observability rings and moves the session's shard-rollup buckets.
-// Zero allocations in steady state: the snapshot is copied in place and
-// the rings were sized at creation.
-func (s *Session) publish(elapsed time.Duration) {
-	ts := s.st.Stats()
+// publish refreshes the cross-goroutine snapshot from ts, the engine's
+// current Stats, appends the tick to the observability rings and moves
+// the session's shard-rollup buckets. Zero allocations in steady state:
+// the snapshot is copied in place and the rings were sized at creation.
+func (s *Session) publish(ts sim.TickStats, elapsed time.Duration) {
 	if s.series != nil && int64(ts.Ticks) != s.seriesTick {
 		// One sample per engine tick, so bucket index maps to sim time
 		// (index × step × tick); the discard path republishes without

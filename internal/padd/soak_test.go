@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -559,6 +560,41 @@ func TestMaxSessions(t *testing.T) {
 	cfg := padd.SessionConfig{ID: "cap-2", Scheme: "PAD", Racks: 1, ServersPerRack: 2}
 	if code, body := c.post("/v1/sessions", cfg); code != http.StatusCreated {
 		t.Fatalf("create after delete: HTTP %d: %s", code, body)
+	}
+}
+
+// TestCreateRejectsBadMicroFraction pins micro_fraction validation: a
+// negative, above-one or non-finite fraction is a config error (400 over
+// HTTP), never a construction panic, and a rejected create leaves neither
+// its id nor its -max-sessions slot behind.
+func TestCreateRejectsBadMicroFraction(t *testing.T) {
+	mgr := padd.NewManagerWith(padd.Options{Shards: 2, MaxSessions: 1})
+	defer mgr.Shutdown(context.Background())
+	srv := httptest.NewServer(padd.NewServer(mgr))
+	defer srv.Close()
+	c := &soakClient{t: t, base: srv.URL}
+
+	for _, f := range []float64{-0.5, -1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := padd.SessionConfig{ID: "mf", Racks: 1, ServersPerRack: 2, MicroFraction: f}
+		if _, err := mgr.Create(cfg); err == nil {
+			t.Fatalf("Create accepted micro_fraction %v", f)
+		}
+	}
+	for _, body := range []string{`-1`, `-0.5`, `1.5`} {
+		resp, err := http.Post(c.base+"/v1/sessions", "application/json",
+			strings.NewReader(`{"id":"mf","racks":1,"servers_per_rack":2,"micro_fraction":`+body+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST micro_fraction %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+	cfg := padd.SessionConfig{ID: "mf", Racks: 1, ServersPerRack: 2, MicroFraction: 1}
+	if code, body := c.post("/v1/sessions", cfg); code != http.StatusCreated {
+		t.Fatalf("create after rejects: HTTP %d: %s", code, body)
 	}
 }
 

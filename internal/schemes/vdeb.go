@@ -197,12 +197,7 @@ func NewVDEB(opts Options) *VDEB {
 // Name implements sim.Scheme.
 func (s *VDEB) Name() string { return "vDEB" }
 
-// Plan implements sim.Scheme.
-func (s *VDEB) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *VDEB) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	return s.planner.planInto(view, &s.chargers, acts)
 }
@@ -223,12 +218,7 @@ func NewUDEB(opts Options) *UDEB {
 // Name implements sim.Scheme.
 func (s *UDEB) Name() string { return "uDEB" }
 
-// Plan implements sim.Scheme.
-func (s *UDEB) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *UDEB) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	for i, v := range view.Racks {
 		if need := v.Demand - v.Budget; need > 0 {

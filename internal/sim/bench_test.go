@@ -119,7 +119,6 @@ func BenchmarkStepperTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,7 +142,6 @@ func BenchmarkStepperTickTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,26 +150,6 @@ func BenchmarkStepperTickTraced(b *testing.B) {
 		}
 	}
 }
-
-// Worker-count variants of the full-run benchmark: the per-tick kernels
-// fan out across Config.Workers goroutines. On this 8-rack cluster the
-// kernels are small relative to the two barrier handoffs per tick, so
-// these mostly price the synchronization floor — the parallel path is
-// documented as worthwhile only for much larger clusters.
-func benchRunWorkers(b *testing.B, workers int) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(false, false)
-		cfg.Workers = workers
-		if _, err := sim.Run(cfg, newPAD()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimRunPADWorkers2(b *testing.B) { benchRunWorkers(b, 2) }
-func BenchmarkSimRunPADWorkers4(b *testing.B) { benchRunWorkers(b, 4) }
 
 // quietConfig is the sweep-scale fast case the quiescent skip path is
 // built for: a long idle horizon — no background trace, no attack — that
@@ -244,7 +222,6 @@ func BenchmarkStepperSkipSpan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for {

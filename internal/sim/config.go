@@ -56,8 +56,8 @@ type RackView struct {
 type ClusterView struct {
 	// Time is the simulation offset.
 	Time time.Duration
-	// Tick is the step the engine advances per Plan call; schemes use it
-	// to model software reaction latency in real-time units.
+	// Tick is the step the engine advances per PlanInto call; schemes
+	// use it to model software reaction latency in real-time units.
 	Tick time.Duration
 	// TotalDemand is the sum of rack demands.
 	TotalDemand units.Watts
@@ -65,13 +65,13 @@ type ClusterView struct {
 	PDUBudget units.Watts
 	// Racks are the per-rack views. The backing array is owned by the
 	// engine and reused on every tick: it is valid only for the duration
-	// of the Plan/PlanInto call and must never be retained or mutated by
+	// of the PlanInto call and must never be retained or mutated by
 	// the scheme. Copy any values needed across ticks.
 	Racks []RackView
 	// Trace is the engine's event tracer, or nil when tracing is
 	// disabled. Schemes may Emit planning-decision events through it
-	// (obs.Tracer is nil-safe); they must not retain it past the Plan
-	// call or flush it — the run driver owns flushing.
+	// (obs.Tracer is nil-safe); they must not retain it past the
+	// PlanInto call or flush it — the run driver owns flushing.
 	Trace *obs.Tracer
 }
 
@@ -103,22 +103,12 @@ type Action struct {
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string
-	// Plan returns one Action per rack for this tick.
-	Plan(view ClusterView) []Action
-}
-
-// ScratchPlanner is the allocation-free planning path. A scheme that
-// implements it is handed a scratch slice owned by the engine — len
-// equal to len(view.Racks), zeroed before every call — and returns the
-// tick's actions in it (or in any other slice of the right length; the
-// engine consumes the returned slice before the next PlanInto call, so
-// scheme-owned buffers may be reused too). Schemes implement Plan by
-// wrapping PlanInto with a fresh slice, keeping both entry points in
-// agreement. The engine prefers PlanInto whenever it is available.
-type ScratchPlanner interface {
-	Scheme
-	// PlanInto returns one Action per rack for this tick, using scratch
-	// to avoid a per-tick allocation.
+	// PlanInto returns one Action per rack for this tick. scratch is a
+	// slice owned by the engine — len equal to len(view.Racks), zeroed
+	// before every call — that the scheme may fill and return, keeping
+	// the planning step allocation-free. Any other slice of the right
+	// length may be returned instead: the engine consumes it before the
+	// next call, so scheme-owned buffers may be reused too.
 	PlanInto(view ClusterView, scratch []Action) []Action
 }
 
@@ -203,8 +193,8 @@ type Config struct {
 	// frozen, scheme state at its fixed point), it advances a whole span
 	// of such ticks in one analytic kernel call instead of stepping each.
 	// Results, recordings and trace event streams are bit-identical to
-	// per-tick stepping at any Workers count (TestSkipBitIdentity); the
-	// flag only changes speed. Ignored for schemes that do not implement
+	// per-tick stepping (TestSkipBitIdentity); the flag only changes
+	// speed. Ignored for schemes that do not implement
 	// QuiescentPlanner or battery factories whose stores do not implement
 	// battery.Rester.
 	SkipQuiescent bool
@@ -213,26 +203,14 @@ type Config struct {
 	// for benchmarks and for drivers that want per-span observability at
 	// a fixed grain.
 	SkipMaxSpan int
-	// Workers enables opt-in intra-run rack parallelism: the per-rack
-	// view and apply kernels fan out over min(Workers, Racks) persistent
-	// goroutines with a barrier per phase, while every cross-rack phase
-	// (scheme planning, accumulation, charging, breakers, recording)
-	// stays on the stepping goroutine in rack order — so results are
-	// bit-identical to serial execution regardless of worker count.
-	// 0 or 1 keeps the zero-overhead serial path. Worth enabling only
-	// for large clusters; for sweeps of small runs prefer the run-level
-	// parallelism of internal/runner. A Stepper built with Workers > 1
-	// holds goroutines until Close (Run closes automatically).
-	Workers int
 	// Trace attaches an event tracer: the engine emits structured
 	// events (level transitions, breaker heat/margin crossings and
 	// trips, vDEB allocation refreshes, μDEB spike absorption, shed
 	// changes, attack phase changes) into its preallocated ring. Nil
 	// disables tracing at zero cost. Tracing never changes simulation
-	// results, and the emitted stream is identical at any Workers count:
-	// every event is emitted from a serial phase, in tick and rack
-	// order, stamped with simulation time only. The engine never flushes
-	// the tracer — the caller does, outside the tick loop.
+	// results: every event is emitted in tick and rack order, stamped
+	// with simulation time only. The engine never flushes the tracer —
+	// the caller does, outside the tick loop.
 	Trace *obs.Tracer
 }
 
@@ -317,9 +295,6 @@ func (c Config) Validate() error {
 			}
 			group[s] = g
 		}
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: workers must be non-negative, got %d", c.Workers)
 	}
 	if c.SkipMaxSpan < 0 {
 		return fmt.Errorf("sim: skip max span must be non-negative, got %d", c.SkipMaxSpan)

@@ -27,16 +27,15 @@ func flatBackground(racks, spr int, u float64) []*stats.Series {
 type noopScheme struct{}
 
 func (noopScheme) Name() string { return "noop" }
-func (noopScheme) Plan(v ClusterView) []Action {
-	return make([]Action, len(v.Racks))
+func (noopScheme) PlanInto(_ ClusterView, scratch []Action) []Action {
+	return scratch
 }
 
 // shaveScheme is a minimal peak shaver used to exercise the engine.
 type shaveScheme struct{}
 
 func (shaveScheme) Name() string { return "shave" }
-func (shaveScheme) Plan(v ClusterView) []Action {
-	acts := make([]Action, len(v.Racks))
+func (shaveScheme) PlanInto(v ClusterView, acts []Action) []Action {
 	for i, r := range v.Racks {
 		if need := r.Demand - r.Budget; need > 0 {
 			acts[i].Discharge = need
@@ -326,8 +325,8 @@ func TestShedActionReducesPower(t *testing.T) {
 // schemeFunc adapts a function to sim.Scheme.
 type schemeFunc func(ClusterView) []Action
 
-func (schemeFunc) Name() string                  { return "func" }
-func (f schemeFunc) Plan(v ClusterView) []Action { return f(v) }
+func (schemeFunc) Name() string                                  { return "func" }
+func (f schemeFunc) PlanInto(v ClusterView, _ []Action) []Action { return f(v) }
 
 func TestDVFSCapReducesThroughputAndPower(t *testing.T) {
 	capAll := schemeFunc(func(v ClusterView) []Action {

@@ -12,27 +12,29 @@ import (
 	"repro/internal/virus"
 )
 
-// planOnly hides a scheme's PlanInto so the engine takes the legacy
-// allocate-per-tick Plan path.
-type planOnly struct{ inner sim.Scheme }
+// freshScratch ignores the engine's scratch slice and plans into a
+// freshly allocated one every tick.
+type freshScratch struct{ inner sim.Scheme }
 
-func (p planOnly) Name() string                           { return p.inner.Name() }
-func (p planOnly) Plan(view sim.ClusterView) []sim.Action { return p.inner.Plan(view) }
+func (p freshScratch) Name() string { return p.inner.Name() }
+func (p freshScratch) PlanInto(view sim.ClusterView, _ []sim.Action) []sim.Action {
+	return p.inner.PlanInto(view, make([]sim.Action, len(view.Racks)))
+}
 
-// planOnlyWithLevel keeps the security level visible (PAD), so the
+// freshScratchWithLevel keeps the security level visible (PAD), so the
 // recorded Levels series is identical on both paths.
-type planOnlyWithLevel struct {
-	planOnly
+type freshScratchWithLevel struct {
+	freshScratch
 	lr sim.LevelReporter
 }
 
-func (p planOnlyWithLevel) Level() core.Level { return p.lr.Level() }
+func (p freshScratchWithLevel) Level() core.Level { return p.lr.Level() }
 
-func hidePlanInto(s sim.Scheme) sim.Scheme {
+func withFreshScratch(s sim.Scheme) sim.Scheme {
 	if lr, ok := s.(sim.LevelReporter); ok {
-		return planOnlyWithLevel{planOnly{s}, lr}
+		return freshScratchWithLevel{freshScratch{s}, lr}
 	}
-	return planOnly{s}
+	return freshScratch{s}
 }
 
 func planIntoConfig() sim.Config {
@@ -70,12 +72,12 @@ func planIntoConfig() sim.Config {
 	}
 }
 
-// TestPlanIntoMatchesPlan is the ScratchPlanner contract check: for
-// every scheme, a run through the zero-allocation PlanInto path must
-// produce a Result deeply equal — recordings included — to a run where
-// the engine is forced onto the legacy Plan path. Schemes implement
-// Plan as a PlanInto wrapper, so any divergence means a scratch buffer
-// leaked state between ticks.
+// TestPlanIntoMatchesPlan is the scratch-slice contract check: for
+// every scheme, a run planning into the engine's reused scratch slice
+// must produce a Result deeply equal — recordings included — to a run
+// where every tick plans into a fresh slice. Any divergence means a
+// scheme kept the engine's scratch slice (or state derived from it)
+// across ticks.
 func TestPlanIntoMatchesPlan(t *testing.T) {
 	makers := map[string]func() sim.Scheme{
 		"Conv": func() sim.Scheme { return schemes.NewConv(schemes.Options{}) },
@@ -87,19 +89,16 @@ func TestPlanIntoMatchesPlan(t *testing.T) {
 	}
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
-			if _, ok := mk().(sim.ScratchPlanner); !ok {
-				t.Fatalf("%s does not implement sim.ScratchPlanner", name)
-			}
-			fast, err := sim.Run(planIntoConfig(), mk())
+			reused, err := sim.Run(planIntoConfig(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := sim.Run(planIntoConfig(), hidePlanInto(mk()))
+			fresh, err := sim.Run(planIntoConfig(), withFreshScratch(mk()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(fast, legacy) {
-				t.Fatalf("%s: PlanInto path and Plan path produced different Results", name)
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("%s: engine-scratch and fresh-slice runs produced different Results", name)
 			}
 		})
 	}

@@ -33,7 +33,7 @@ import (
 //     stamp and its KindVDEBAlloc record, synthesized from the values the
 //     Quiescent check proved frozen).
 type QuiescentPlanner interface {
-	ScratchPlanner
+	Scheme
 	Quiescent(view ClusterView) bool
 	NextEvent(view ClusterView) int
 	SkipPlan(view ClusterView, n int)

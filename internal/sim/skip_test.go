@@ -109,12 +109,12 @@ func skipScenarios() map[string]func() sim.Config {
 	}
 }
 
-// TestSkipBitIdentity is the fast path's contract test: for every scheme,
-// every scenario and Workers ∈ {0, 4}, a run with SkipQuiescent on must
-// produce a Result — recordings, energy accounting, trip bookkeeping and
-// all — deeply equal to the per-tick run. The quiet scenario must also
-// actually skip (most of its horizon), or the fast path has silently
-// stopped engaging and the benchmarks are measuring nothing.
+// TestSkipBitIdentity is the fast path's contract test: for every scheme
+// and every scenario, a run with SkipQuiescent on must produce a Result —
+// recordings, energy accounting, trip bookkeeping and all — deeply equal
+// to the per-tick run. The quiet scenario must also actually skip (most
+// of its horizon), or the fast path has silently stopped engaging and the
+// benchmarks are measuring nothing.
 func TestSkipBitIdentity(t *testing.T) {
 	for scen, mkCfg := range skipScenarios() {
 		for name, mk := range stepperMakers() {
@@ -123,35 +123,30 @@ func TestSkipBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{0, 4} {
-					cfg := mkCfg()
-					cfg.SkipQuiescent = true
-					cfg.Workers = workers
-					st, err := sim.NewStepper(cfg, mk())
+				cfg := mkCfg()
+				cfg.SkipQuiescent = true
+				st, err := sim.NewStepper(cfg, mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for {
+					ok, err := st.Step()
 					if err != nil {
 						t.Fatal(err)
 					}
-					for {
-						ok, err := st.Step()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !ok {
-							break
-						}
+					if !ok {
+						break
 					}
-					st.Close()
-					if !reflect.DeepEqual(base, st.Result()) {
-						t.Fatalf("%s/%s: Workers=%d skip run diverged from per-tick run",
-							scen, name, workers)
-					}
-					spans, ticks := st.SkipStats()
-					if scen == "quiet" {
-						total := int64(cfg.Duration / cfg.Tick)
-						if ticks < total/2 {
-							t.Fatalf("%s/%s: quiet run skipped only %d of %d ticks over %d spans",
-								scen, name, ticks, total, spans)
-						}
+				}
+				if !reflect.DeepEqual(base, st.Result()) {
+					t.Fatalf("%s/%s: skip run diverged from per-tick run", scen, name)
+				}
+				spans, ticks := st.SkipStats()
+				if scen == "quiet" {
+					total := int64(cfg.Duration / cfg.Tick)
+					if ticks < total/2 {
+						t.Fatalf("%s/%s: quiet run skipped only %d of %d ticks over %d spans",
+							scen, name, ticks, total, spans)
 					}
 				}
 			})

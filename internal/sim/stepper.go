@@ -24,18 +24,13 @@ import (
 // over those arrays: a view kernel (demand fill + rack observation), an
 // apply kernel (shedding, DVFS power, battery and μDEB stepping), and a
 // serial reduce that folds per-rack kernel outputs into the run
-// accumulators in exactly the order the historical single loop used —
-// which is what keeps results bit-identical across the refactor and
-// across worker counts (racks only couple through the already-serial
-// scheme/vDEB phase, the charge pass, and the reduce).
+// accumulators in exactly the order the historical single loop used,
+// which keeps results bit-identical to it.
 //
 // A Stepper inherits sim's concurrency contract: it is confined to one
 // goroutine at a time. The observability accessors (Stats, Now, Ticks)
 // are likewise not synchronized — callers that publish them across
-// goroutines must do their own handoff. With Config.Workers > 1 the
-// stepper owns a pool of persistent worker goroutines that are quiescent
-// outside Advance; call Close when done with a stepper to release them
-// (Run does this itself).
+// goroutines must do their own handoff.
 type Stepper struct {
 	cfg    Config
 	scheme Scheme
@@ -78,7 +73,7 @@ type Stepper struct {
 	limits    []units.Watts
 	draws     []units.Watts
 	actsBuf   []Action
-	topK      []*topKSelector // one per worker; serial uses topK[0]
+	topK      *topKSelector
 	bg        bgSampler
 
 	// Per-rack kernel outputs, filled by the apply kernel and folded by
@@ -91,19 +86,15 @@ type Stepper struct {
 	rackDark  []bool
 	rackCoefs []powersim.PowerCoef
 
-	// Transient per-tick kernel inputs, set by Advance before the
-	// kernels run (fields rather than arguments so the worker pool can
-	// call fixed methods without per-tick closures).
+	// The latest tick's kernel inputs, set by Advance before the kernels
+	// run; the quiescence check (skip.go) reads them as last tick's.
 	curDemand  []float64
 	curActions []Action
 
 	powerFull powersim.PowerCoef // frequency-1 power coefficients
-	pool      *rackPool          // nil unless Workers > 1 engaged a pool
 
-	scratchScheme ScratchPlanner
-	hasScratch    bool
-	levelScheme   LevelReporter
-	hasLevel      bool
+	levelScheme LevelReporter
+	hasLevel    bool
 
 	// Quiescent fast path (nil quiet = disabled): the scheme's planner
 	// contract extension, the batteries' fixed-point probes, and span
@@ -126,13 +117,12 @@ type Stepper struct {
 	lastShedWatts units.Watts
 	lastAttackU   float64
 
-	// Event tracing (nil tracer = disabled). Every emission point sits in
-	// a serial phase of the tick — the attack step, the planning phase,
-	// the reduce, the breaker pass — so the event stream is identical at
-	// any Workers count: kernel-phase observations (μDEB shaving) ride
-	// the per-rack SoA outputs and are emitted by the reduce in rack
-	// order. The edge-tracking state below is written only when tracing
-	// is on; it never feeds back into the simulation.
+	// Event tracing (nil tracer = disabled). Events are emitted from the
+	// attack step, the planning phase, the reduce and the breaker pass;
+	// kernel-phase observations (μDEB shaving) ride the per-rack SoA
+	// outputs and are emitted by the reduce in rack order. The
+	// edge-tracking state below is written only when tracing is on; it
+	// never feeds back into the simulation.
 	tracer         *obs.Tracer
 	traceLevel     core.Level
 	tracePhases    []virus.Phase // one per attack group
@@ -254,23 +244,9 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	st.rackCoefs = make([]powersim.PowerCoef, cfg.Racks)
 	st.powerFull = cfg.Server.PowerCoef(1)
 
-	workers := cfg.Workers
-	if workers > cfg.Racks {
-		workers = cfg.Racks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	st.topK = make([]*topKSelector, workers)
-	for w := range st.topK {
-		st.topK[w] = newTopKSelector(cfg.ServersPerRack)
-	}
-	if workers > 1 {
-		st.pool = newRackPool(st, workers)
-	}
+	st.topK = newTopKSelector(cfg.ServersPerRack)
 
 	st.bg = newBGSampler(cfg.Background)
-	st.scratchScheme, st.hasScratch = scheme.(ScratchPlanner)
 	st.levelScheme, st.hasLevel = scheme.(LevelReporter)
 	st.initSkip()
 
@@ -286,18 +262,6 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 		st.tracePhases = make([]virus.Phase, len(st.attacks))
 	}
 	return st, nil
-}
-
-// Close releases the stepper's worker pool, if any. It is idempotent and
-// safe on a serial stepper; a closed stepper falls back to serial
-// in-place execution if advanced again. Run closes its stepper itself;
-// callers that construct a Stepper with Config.Workers > 1 directly are
-// responsible for calling Close.
-func (st *Stepper) Close() {
-	if st.pool != nil {
-		st.pool.close()
-		st.pool = nil
-	}
 }
 
 // Done reports whether the run has finished: the horizon is exhausted,
@@ -408,8 +372,7 @@ func (st *Stepper) Step() (bool, error) {
 }
 
 // viewKernel fills rack i's electrical demand and observation view. It
-// touches only rack-i state (its battery, its view slot), so distinct
-// racks run concurrently under the worker pool.
+// touches only rack-i state (its battery, its view slot).
 func (st *Stepper) viewKernel(i int) {
 	cfg := &st.cfg
 	base := i * cfg.ServersPerRack
@@ -437,9 +400,8 @@ func (st *Stepper) viewKernel(i int) {
 // shed clamping, top-k shed selection, server power summation, breaker
 // restore bookkeeping, battery discharge/idle and μDEB shaving. All
 // global accumulation is deferred to the serial reduce; the kernel
-// writes only rack-i slots (and its worker-private selector), so
-// distinct racks run concurrently under the worker pool.
-func (st *Stepper) applyKernel(worker, i int) {
+// writes only rack-i slots.
+func (st *Stepper) applyKernel(i int) {
 	cfg := &st.cfg
 	act := st.curActions[i]
 	freq := act.Freq
@@ -466,7 +428,7 @@ func (st *Stepper) applyKernel(worker, i int) {
 	// power (and any resident attacker) is.
 	base := i * cfg.ServersPerRack
 	order := st.marks[base : base+cfg.ServersPerRack]
-	st.topK[worker].markInto(order, st.curDemand[base:base+cfg.ServersPerRack], shed)
+	st.topK.markInto(order, st.curDemand[base:base+cfg.ServersPerRack], shed)
 
 	// One math.Pow per rack (zero at full frequency) instead of one per
 	// server: every server in the rack shares the DVFS operating point.
@@ -553,20 +515,15 @@ func (st *Stepper) Advance(demandU []float64) error {
 
 	// Per-rack electrical demand at full frequency (view kernel over the
 	// rack arrays).
-	if st.pool != nil {
-		st.pool.run(phaseViews)
-	} else {
-		for i := 0; i < cfg.Racks; i++ {
-			st.viewKernel(i)
-		}
+	for i := 0; i < cfg.Racks; i++ {
+		st.viewKernel(i)
 	}
 	var totalDemand units.Watts
 	for i := range st.views {
 		totalDemand += st.views[i].Demand
 	}
 
-	// 3. Scheme decides. ScratchPlanner schemes fill the engine's
-	// reusable action buffer; plain schemes allocate their own.
+	// 3. Scheme decides, filling the engine's reusable action buffer.
 	view := ClusterView{
 		Time:        now,
 		Tick:        cfg.Tick,
@@ -575,15 +532,10 @@ func (st *Stepper) Advance(demandU []float64) error {
 		Racks:       st.views,
 		Trace:       st.tracer,
 	}
-	var actions []Action
-	if st.hasScratch {
-		for i := range st.actsBuf {
-			st.actsBuf[i] = Action{}
-		}
-		actions = st.scratchScheme.PlanInto(view, st.actsBuf)
-	} else {
-		actions = st.scheme.Plan(view)
+	for i := range st.actsBuf {
+		st.actsBuf[i] = Action{}
 	}
+	actions := st.scheme.PlanInto(view, st.actsBuf)
 	if len(actions) != cfg.Racks {
 		return fmt.Errorf("sim: scheme %s returned %d actions for %d racks",
 			st.scheme.Name(), len(actions), cfg.Racks)
@@ -618,16 +570,11 @@ func (st *Stepper) Advance(demandU []float64) error {
 	}
 
 	// 4b. Apply actions rack by rack: the apply kernel computes every
-	// rack-local quantity (parallel under the pool), then a serial
-	// reduce folds the per-rack outputs into the run accumulators in
-	// exactly the order the historical single loop used, keeping every
-	// floating-point sum bit-identical at any worker count.
-	if st.pool != nil {
-		st.pool.run(phaseApply)
-	} else {
-		for i := 0; i < cfg.Racks; i++ {
-			st.applyKernel(0, i)
-		}
+	// rack-local quantity, then a reduce folds the per-rack outputs into
+	// the run accumulators in exactly the order the historical single
+	// loop used, keeping every floating-point sum bit-identical.
+	for i := 0; i < cfg.Racks; i++ {
+		st.applyKernel(i)
 	}
 
 	var totalGrid units.Watts
@@ -690,7 +637,7 @@ func (st *Stepper) Advance(demandU []float64) error {
 	// battery gets exactly one state-advancing call per tick: racks
 	// that discharged (or are dark) were stepped in pass 4; racks
 	// whose charge request cannot be granted idle instead. Headroom
-	// hands down sequentially, so this pass stays serial.
+	// hands down sequentially in rack order.
 	headroom := st.pduBudget - totalGrid
 	for i := 0; i < cfg.Racks; i++ {
 		act := actions[i]

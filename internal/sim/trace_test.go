@@ -6,22 +6,63 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/virus"
 )
 
-// TestTracedRunBitIdentical pins the tracing layer's first contract: for
+// attackedConfig is an 8-rack cluster with recording on, μDEBs deployed
+// and an attack in flight, so every engine path the kernels touch (and
+// every kind of event they emit) is exercised.
+func attackedConfig() sim.Config {
+	const racks, spr = 8, 4
+	horizon := 10 * time.Second
+	bg := make([]*stats.Series, racks*spr)
+	rng := stats.NewRNG(97)
+	for i := range bg {
+		r := rng.Split(uint64(i))
+		s := stats.NewSeries(time.Second)
+		for k := 0; k <= int(horizon/time.Second)+1; k++ {
+			s.Append(0.35 + 0.4*r.Float64())
+		}
+		bg[i] = s
+	}
+	return sim.Config{
+		Key:             "trace/attacked",
+		Racks:           racks,
+		ServersPerRack:  spr,
+		Tick:            100 * time.Millisecond,
+		Duration:        horizon,
+		Background:      bg,
+		Record:          true,
+		MicroDEBFactory: schemes.MicroDEBFactory(0.01),
+		Attack: &sim.AttackSpec{
+			Servers: []int{0, 1, 9, 17},
+			Attack: virus.MustNew(virus.Config{
+				Profile:         virus.CPUIntensive,
+				PrepDuration:    time.Second,
+				MaxPhaseI:       3 * time.Second,
+				SpikeWidth:      time.Second,
+				SpikesPerMinute: 15,
+				Seed:            9,
+			}),
+		},
+	}
+}
+
+// TestTracedRunBitIdentical pins the tracing layer's contract: for
 // every scheme, attaching a tracer changes nothing about the simulation —
 // the Result (recordings, energy accounting, survival) is deeply equal to
 // the untraced run's. Tracing is observation only.
 func TestTracedRunBitIdentical(t *testing.T) {
 	for name, mk := range stepperMakers() {
 		t.Run(name, func(t *testing.T) {
-			base, err := sim.Run(workersConfig(), mk())
+			base, err := sim.Run(attackedConfig(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := workersConfig()
+			cfg := attackedConfig()
 			cfg.Trace = obs.NewTracer(0)
 			got, err := sim.Run(cfg, mk())
 			if err != nil {
@@ -42,33 +83,6 @@ func TestTracedRunBitIdentical(t *testing.T) {
 				t.Fatalf("%s: engine filled wrong meta: %+v", name, meta)
 			}
 		})
-	}
-}
-
-// TestTraceWorkersIdentical pins the second contract: the event stream is
-// a pure function of the run, identical at every worker count. All
-// emission points live in serial phases (kernel-phase observations ride
-// the per-rack SoA outputs and are folded by the serial reduce), so this
-// must hold exactly, not approximately. Run under -race in CI.
-func TestTraceWorkersIdentical(t *testing.T) {
-	run := func(workers int) []obs.Event {
-		cfg := workersConfig()
-		cfg.Workers = workers
-		cfg.Trace = obs.NewTracer(0)
-		if _, err := sim.Run(cfg, stepperMakers()["PAD"]()); err != nil {
-			t.Fatal(err)
-		}
-		return cfg.Trace.Events()
-	}
-	base := run(0)
-	if len(base) == 0 {
-		t.Fatal("attacked PAD run emitted no events")
-	}
-	for _, workers := range []int{1, 4, 8} {
-		if got := run(workers); !reflect.DeepEqual(base, got) {
-			t.Fatalf("Workers=%d event stream diverged from serial:\nserial %d events, parallel %d",
-				workers, len(base), len(got))
-		}
 	}
 }
 
@@ -118,7 +132,7 @@ func TestTraceSkipIdentical(t *testing.T) {
 // Preparation→Phase-I→Phase-II, the initial level assignment is emitted
 // with old level 0, and run-minimum margins only ever ratchet down.
 func TestTraceStreamShape(t *testing.T) {
-	cfg := workersConfig()
+	cfg := attackedConfig()
 	cfg.Trace = obs.NewTracer(0)
 	if _, err := sim.Run(cfg, stepperMakers()["PAD"]()); err != nil {
 		t.Fatal(err)
