@@ -1,9 +1,10 @@
-// Command padtrace analyzes engine event traces written by padsim's
-// -trace flag (JSONL format). For each trace it computes the run's
-// defense profile — time spent at each Figure-9 security level, per
-// attack phase time-to-detection, the run-minimum breaker margin, shed
-// totals and event tallies — and prints them side by side as an aligned
-// table, or as CSV for downstream plotting.
+// Command padtrace analyzes engine event traces in the obs JSONL format:
+// files written by padsim's -trace flag, and padd session event logs
+// (GET /v1/sessions/{id}/events, read from stdin as "-"). For each trace
+// it computes the run's defense profile — time spent at each Figure-9
+// security level, per attack phase time-to-detection, the run-minimum
+// breaker margin, shed totals and event tallies — and prints them side
+// by side as an aligned table, or as CSV for downstream plotting.
 //
 // Usage:
 //
@@ -11,6 +12,7 @@
 //	padsim -compare -trace run.trace       # writes run.PAD.trace, run.Conv.trace, ...
 //	padtrace run.*.trace
 //	padtrace -csv run.*.trace > summary.csv
+//	curl -s localhost:8484/v1/sessions/pdu-a/events | padtrace -
 package main
 
 import (
@@ -53,7 +55,7 @@ func main() {
 			fatal(err)
 		}
 		if s.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "padtrace: %s: %d events dropped on ring overflow; summary covers a truncated prefix\n",
+			fmt.Fprintf(os.Stderr, "padtrace: %s: %d events dropped; summary covers a partial trace\n",
 				path, s.Dropped)
 		}
 		sums = append(sums, s)

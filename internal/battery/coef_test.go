@@ -56,7 +56,7 @@ func (r *refKiBaM) maxSustainable(dt time.Duration) float64 {
 	y0 := r.y1 + r.y2
 	ekt := math.Exp(-k * t)
 	a := r.y1*ekt + y0*k*c*(1-ekt)/k
-	bb := (1 - ekt) / k + c*(k*t-1+ekt)/k
+	bb := (1-ekt)/k + c*(k*t-1+ekt)/k
 	if bb <= 0 {
 		return 0
 	}

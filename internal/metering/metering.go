@@ -43,6 +43,7 @@ type Meter struct {
 	energy  units.Joules
 	into    time.Duration
 	elapsed time.Duration
+	out     []IntervalReading // Record's reused result buffer
 }
 
 // NewMeter creates a meter with the given integration interval and
@@ -72,8 +73,10 @@ func (m *Meter) Interval() time.Duration { return m.interval }
 // Record feeds the meter dt of load at power p and returns any intervals
 // completed during the step (usually zero or one; more if dt spans
 // multiple intervals, in which case the power is attributed uniformly).
+// The returned slice is owned by the meter and valid until the next
+// Record call, so a per-tick caller allocates nothing in steady state.
 func (m *Meter) Record(p units.Watts, dt time.Duration) []IntervalReading {
-	var out []IntervalReading
+	out := m.out[:0]
 	for dt > 0 {
 		room := m.interval - m.into
 		step := dt
@@ -97,6 +100,7 @@ func (m *Meter) Record(p units.Watts, dt time.Duration) []IntervalReading {
 			m.into = 0
 		}
 	}
+	m.out = out
 	return out
 }
 

@@ -66,6 +66,17 @@ const (
 	// KindAttackPhase is the attack controller changing phase:
 	// A = old phase, B = new phase (virus.Phase values).
 	KindAttackPhase
+	// KindAnomaly is the online metering CUSUM detector flagging a power
+	// anomaly (padd sessions; the offline engine meters nothing):
+	// A = the flagged interval's average draw in watts, B = the
+	// detector's baseline in watts.
+	KindAnomaly
+	// KindCoast is the first coasted tick of a telemetry gap (padd
+	// sessions on wall clock): the session advanced on the last known
+	// demand because no sample had arrived. A and B are zero.
+	KindCoast
+
+	kindEnd // one past the last kind; loops over every kind stop here
 )
 
 // String returns the kind's wire name.
@@ -89,6 +100,10 @@ func (k Kind) String() string {
 		return "shed"
 	case KindAttackPhase:
 		return "attack_phase"
+	case KindAnomaly:
+		return "anomaly"
+	case KindCoast:
+		return "coast"
 	default:
 		return "unknown"
 	}
@@ -96,7 +111,7 @@ func (k Kind) String() string {
 
 // kindByName inverts String for the JSONL reader.
 func kindByName(s string) Kind {
-	for k := KindLevel; k <= KindAttackPhase; k++ {
+	for k := KindLevel; k < kindEnd; k++ {
 		if k.String() == s {
 			return k
 		}

@@ -21,8 +21,10 @@ type Sink interface {
 type Footer struct {
 	// Events counts the event records written to the stream.
 	Events int `json:"events"`
-	// Dropped counts events discarded on ring overflow (the stream is a
-	// truncated prefix of the run when this is non-zero).
+	// Dropped counts events missing from the stream. A Tracer drops the
+	// newest events on ring overflow, so its stream is a truncated
+	// prefix; a padd session log overwrites its oldest, so its stream
+	// lacks the start.
 	Dropped uint64 `json:"dropped"`
 }
 

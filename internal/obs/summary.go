@@ -25,7 +25,7 @@ type Summary struct {
 	// Meta echoes the trace header.
 	Meta Meta
 	// Events and Dropped echo the stream accounting (a non-zero Dropped
-	// means the summary describes a truncated prefix of the run).
+	// means the summary covers only part of the run).
 	Events  int
 	Dropped uint64
 

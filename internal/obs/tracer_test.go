@@ -110,6 +110,20 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Tick: 60, Rack: -1, Kind: KindAttackPhase, A: 1, B: 2},
 		{Tick: 77, Rack: 1, Kind: KindMarginLow, A: 42, B: 2138},
 		{Tick: 90, Rack: 0, Kind: KindTrip, A: 2300, B: 2138},
+		{Tick: 95, Rack: -1, Kind: KindShed, A: 12, B: 3150.5},
+		{Tick: 99, Rack: -1, Kind: KindAnomaly, A: 85965, B: 75548},
+		{Tick: 120, Rack: -1, Kind: KindCoast},
+	}
+	// Every kind must survive the wire: ReadJSONL rejects unknown names,
+	// so a kind missing here would break padtrace on real traces.
+	seen := map[Kind]bool{}
+	for _, e := range want {
+		seen[e.Kind] = true
+	}
+	for k := KindLevel; k < kindEnd; k++ {
+		if !seen[k] {
+			t.Fatalf("round trip does not cover kind %v", k)
+		}
 	}
 	for _, e := range want {
 		tr.Emit(e)
@@ -157,7 +171,7 @@ func TestChromeSinkValidJSON(t *testing.T) {
 
 // TestKindNames pins the wire names and their inversion.
 func TestKindNames(t *testing.T) {
-	for k := KindLevel; k <= KindAttackPhase; k++ {
+	for k := KindLevel; k < kindEnd; k++ {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}

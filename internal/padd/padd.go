@@ -25,11 +25,13 @@
 //     gauges (SOC, security level, shed watts, breaker margin, queue
 //     depth), tick- and detection-latency histograms, fleet occupancy
 //     families and Go runtime stats; GET /v1/sessions/{id}/events
-//     returns the ring-buffered log of level transitions,
-//     shed/trip/coast/anomaly actions. Each session additionally
-//     records its key signals into bounded ring time series with
-//     tiered downsampling (GET /v1/sessions/{id}/series, zero
-//     allocations per tick, opt out with DisableSeries), and GET
+//     returns the session's last 512 edge events (level, shed, trip,
+//     overload, heat, anomaly, coast) as an obs JSONL trace that
+//     cmd/padtrace reads, the same events offline runs trace. Each
+//     session additionally records its key signals into bounded ring
+//     time series with tiered downsampling (GET
+//     /v1/sessions/{id}/series, zero allocations per tick, opt out
+//     with DisableSeries), and GET
 //     /v1/fleet serves O(shards) rollups — sessions per security level
 //     and breaker-margin band, under-attack count, detection-latency
 //     histograms — that cmd/padtop renders as a terminal dashboard.
@@ -104,8 +106,6 @@ type SessionConfig struct {
 	// QueueDepth bounds the ingest queue in telemetry batches; a full
 	// queue answers 429. 0 selects 64.
 	QueueDepth int `json:"queue_depth,omitempty"`
-	// EventLog is the event ring capacity. 0 selects 512.
-	EventLog int `json:"event_log,omitempty"`
 	// MeterInterval is the power-metering integration interval feeding
 	// the CUSUM anomaly detector. 0 selects 5s; negative disables
 	// metering.
@@ -150,9 +150,6 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
-	if c.EventLog == 0 {
-		c.EventLog = 512
-	}
 	if c.MeterInterval.Duration == 0 {
 		c.MeterInterval.Duration = 5 * time.Second
 	}
@@ -170,9 +167,6 @@ func (c SessionConfig) Validate() error {
 	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("padd: queue depth must be non-negative, got %d", c.QueueDepth)
-	}
-	if c.EventLog < 0 {
-		return fmt.Errorf("padd: event log capacity must be non-negative, got %d", c.EventLog)
 	}
 	// The negated range test also rejects NaN.
 	if !(c.MicroFraction >= 0 && c.MicroFraction <= 1) {

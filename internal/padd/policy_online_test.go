@@ -2,13 +2,13 @@ package padd_test
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/policytest"
+	"repro/internal/obs"
 	"repro/internal/padd"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -151,17 +151,13 @@ func TestOnlineLevelsMatchOffline(t *testing.T) {
 			len(offTrans), offTrans, transitions(onRes.Recording.Levels))
 	}
 
-	// The event log must narrate the same walk.
+	// The event log must narrate the same walk. The first KindLevel
+	// event (A = 0) is the initial assignment, not a transition.
 	var logged [][2]core.Level
-	for _, e := range online.Events(0) {
-		if e.Type != padd.EventLevel {
-			continue
-		}
-		// "initial level L1-Normal" doesn't parse as a transition and is
-		// skipped; "L1-Normal -> L2-MinorIncident" does.
-		var from, to core.Level
-		if parseTransition(e.Detail, &from, &to) {
-			logged = append(logged, [2]core.Level{from, to})
+	_, events, _ := online.Events(0)
+	for _, e := range events {
+		if e.Kind == obs.KindLevel && e.A != 0 {
+			logged = append(logged, [2]core.Level{core.Level(e.A), core.Level(e.B)})
 		}
 	}
 	if !reflect.DeepEqual(logged, offTrans) {
@@ -182,15 +178,4 @@ func transitions(levels []core.Level) [][2]core.Level {
 		}
 	}
 	return out
-}
-
-// parseTransition decodes "L1-Normal -> L2-MinorIncident" details.
-func parseTransition(detail string, from, to *core.Level) bool {
-	var f, t int
-	var fName, tName string
-	if n, _ := fmt.Sscanf(detail, "L%d-%s -> L%d-%s", &f, &fName, &t, &tName); n == 4 {
-		*from, *to = core.Level(f), core.Level(t)
-		return true
-	}
-	return false
 }

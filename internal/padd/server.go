@@ -34,7 +34,7 @@ const maxBodyBytes = 32 << 20
 //	POST   /v1/stream                    persistent streaming ingest (connection upgrade)
 //	POST   /v1/sessions/{id}/pause       hold the ingest queue until resume
 //	POST   /v1/sessions/{id}/resume      release a paused session
-//	GET    /v1/sessions/{id}/events      ring-buffered action log (?since=N)
+//	GET    /v1/sessions/{id}/events      event log as a JSONL trace (?since=N)
 //	GET    /v1/sessions/{id}/series      ring time series (?metric=soc&res=raw&since=N)
 //	GET    /v1/fleet                     fleet rollup (levels, margins, detection latency)
 type Server struct {
@@ -69,13 +69,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // SessionStatus is the JSON view of one session.
 type SessionStatus struct {
-	ID       string   `json:"id"`
-	Scheme   string   `json:"scheme"`
-	Racks    int      `json:"racks"`
-	Servers  int      `json:"servers"`
-	Tick     Duration `json:"tick"`
-	Horizon  Duration `json:"horizon"`
-	WallClock bool    `json:"wall_clock,omitempty"`
+	ID        string   `json:"id"`
+	Scheme    string   `json:"scheme"`
+	Racks     int      `json:"racks"`
+	Servers   int      `json:"servers"`
+	Tick      Duration `json:"tick"`
+	Horizon   Duration `json:"horizon"`
+	WallClock bool     `json:"wall_clock,omitempty"`
 
 	Ticks    int64    `json:"ticks"`
 	Offset   Duration `json:"offset"`
@@ -535,5 +535,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"events": sess.Events(since)})
+	meta, events, dropped := sess.Events(since)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	sink := obs.NewJSONLSink(w)
+	if err := sink.Write(meta, events); err == nil {
+		sink.Close(dropped) //nolint:errcheck // the client went away
+	}
 }

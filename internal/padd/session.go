@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metering"
+	"repro/internal/obs"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -112,8 +113,8 @@ type sessionMetrics struct {
 // Session is one online PDU control loop: a sim.Stepper plus a bounded
 // telemetry queue, executed by its shard's worker pool. All engine
 // state is confined to whichever executor holds the state machine's
-// running slot; the outside world sees the mutex-guarded snapshot, the
-// event ring and the atomic ingest counters.
+// running slot; the outside world sees the mutex-guarded snapshot and
+// event log, and the atomic ingest counters.
 type Session struct {
 	id     string
 	cfg    SessionConfig
@@ -139,8 +140,6 @@ type Session struct {
 	accepted atomic.Int64
 	rejected atomic.Int64
 
-	events *eventRing
-
 	// series holds the observability rings (nil with DisableSeries);
 	// created is the wall-clock birth time behind uptime_seconds, and
 	// lastIngest the UnixNano of the newest accepted batch (0 before
@@ -151,15 +150,16 @@ type Session struct {
 
 	mu   sync.Mutex
 	snap sessionMetrics
+	log  eventLog
 
 	// Executor-confined state (touched only while holding stateRunning).
+	// trace stages each tick's engine and session events until publish
+	// flushes them into log.
+	trace     *obs.Tracer
 	meter     *metering.Meter
 	cusum     *metering.CUSUMDetector
 	lastU     []float64
 	haveU     bool
-	lastLevel core.Level
-	lastShed  int
-	tripSeen  bool
 	finished  bool
 	coasting  bool
 	coasts    int64
@@ -186,6 +186,31 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := &Session{
+		id:      id,
+		cfg:     cfg,
+		scheme:  scheme,
+		shard:   sh,
+		queue:   make([]flatBatch, cfg.QueueDepth),
+		paused:  cfg.Paused,
+		done:    make(chan struct{}),
+		log:     eventLog{ring: make([]obs.Event, eventLogCap)},
+		created: time.Now(),
+		// seriesTick guards one series sample per engine tick; -1 admits
+		// tick 0 (a discard-path publish must not desync the index→tick
+		// mapping by appending without an advance).
+		seriesTick: -1,
+	}
+	// Flushed every tick, the staging tracer only ever holds one tick's
+	// events: at most one level, shed and vdeb_alloc event, one each of
+	// overload, trip, heat, margin_low and micro_shave per feed (racks
+	// plus the PDU), one coast, and one anomaly per metering interval
+	// the tick can complete.
+	staged := 3 + 5*(cfg.Racks+1) + 1
+	if iv := cfg.MeterInterval.Duration; iv > 0 {
+		staged += 1 + int(cfg.Tick.Duration/iv)
+	}
+	s.trace = obs.NewTracer(staged, &s.log)
 	simCfg := sim.Config{
 		Key:                   "padd/" + id,
 		Racks:                 cfg.Racks,
@@ -196,6 +221,7 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 		OvershootTolerance:    cfg.Overshoot,
 		Record:                cfg.Record,
 		RecordStep:            cfg.RecordStep.Duration,
+		Trace:                 s.trace,
 	}
 	if schemes.NeedsMicroDEB(cfg.Scheme) {
 		simCfg.MicroDEBFactory = schemes.MicroDEBFactory(cfg.MicroFraction)
@@ -213,23 +239,9 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		id:      id,
-		cfg:     cfg,
-		scheme:  scheme,
-		st:      st,
-		shard:   sh,
-		queue:   make([]flatBatch, cfg.QueueDepth),
-		paused:  cfg.Paused,
-		done:    make(chan struct{}),
-		events:  newEventRing(cfg.EventLog),
-		lastU:   make([]float64, st.TotalServers()),
-		created: time.Now(),
-		// seriesTick guards one series sample per engine tick; -1 admits
-		// tick 0 (a discard-path publish must not desync the index→tick
-		// mapping by appending without an advance).
-		seriesTick: -1,
-	}
+	s.st = st
+	s.lastU = make([]float64, st.TotalServers())
+	s.log.meta = s.trace.Meta() // the log's header from birth on
 	if !cfg.DisableSeries {
 		s.series = newSessionSeries(st.Tick())
 	}
@@ -250,8 +262,6 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 	// rollupLeave vacates them on delete.
 	s.rlMargin = marginBucket(0)
 	sh.rollup.join(s.rlLevel, s.rlMargin)
-	s.event(EventCreated, fmt.Sprintf("scheme %s, %d servers, tick %v",
-		scheme.Name(), st.TotalServers(), st.Tick()))
 	if cfg.WallClock {
 		sh.addWallClock(s)
 	}
@@ -532,9 +542,16 @@ func (s *Session) Result() *sim.Result {
 	return s.st.Result()
 }
 
-// Events returns the retained event log, oldest first, skipping
-// entries below since.
-func (s *Session) Events(since uint64) []Event { return s.events.list(since) }
+// Events returns the session's event log: the run description (Ticks
+// is set once the session finishes), the retained events oldest first
+// starting at sequence number max(since, dropped), and dropped, the
+// count of oldest entries the ring has overwritten. A poller passes
+// max(since, dropped) + len(events) as its next since.
+func (s *Session) Events(since uint64) (meta obs.Meta, events []obs.Event, dropped uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.log.read(since)
+}
 
 // metrics copies out the cross-goroutine snapshot.
 func (s *Session) metrics() sessionMetrics {
@@ -575,48 +592,27 @@ func (s *Session) coast() {
 		return
 	}
 	if !s.coasting {
-		s.event(EventCoast, fmt.Sprintf("telemetry late at tick %d; coasting on last known demand", s.st.Ticks()))
+		s.trace.Emit(obs.Event{Tick: int64(s.st.Ticks()), Rack: -1, Kind: obs.KindCoast})
 		s.coasting = true
 	}
 	s.coasts++
 	s.step(s.lastU)
 }
 
-// step advances the engine one tick and refreshes events, metering and
-// the published snapshot.
+// step advances the engine one tick (emitting its edges into the
+// staging tracer), runs metering, and publishes the snapshot and the
+// tick's events.
 func (s *Session) step(u []float64) {
 	start := time.Now()
 	err := s.st.Advance(u)
 	elapsed := time.Since(start)
 	if err != nil {
-		// Unreachable through the validated ingest path; surface it
-		// rather than hide it.
-		s.event(EventFinished, "advance error: "+err.Error())
-		return
+		// Both callers check Done first and ingest validated the demand
+		// length, so an error here is a broken invariant.
+		panic("padd: Session.step: " + err.Error())
 	}
 	ts := s.st.Stats()
 
-	if ts.Level != s.lastLevel {
-		if s.lastLevel == 0 {
-			s.event(EventLevel, fmt.Sprintf("initial level %v", ts.Level))
-		} else {
-			s.event(EventLevel, fmt.Sprintf("%v -> %v", s.lastLevel, ts.Level))
-		}
-		s.lastLevel = ts.Level
-	}
-	if (ts.ShedServers > 0) != (s.lastShed > 0) {
-		if ts.ShedServers > 0 {
-			s.event(EventShed, fmt.Sprintf("shedding engaged: %d servers, %.0f W displaced",
-				ts.ShedServers, float64(ts.ShedWatts)))
-		} else {
-			s.event(EventShed, "shedding released")
-		}
-	}
-	s.lastShed = ts.ShedServers
-	if ts.Tripped && !s.tripSeen {
-		s.tripSeen = true
-		s.event(EventTrip, "breaker tripped")
-	}
 	if s.meter != nil {
 		for _, r := range s.meter.Record(ts.TotalGrid, s.st.Tick()) {
 			flagged := s.cusum.Observe(r)
@@ -634,8 +630,10 @@ func (s *Session) step(u []float64) {
 			}
 			if flagged {
 				s.anomalies++
-				s.event(EventAnomaly, fmt.Sprintf("CUSUM flagged interval at %v: %.0f W vs baseline %.0f W",
-					r.Start, float64(r.Avg), float64(s.cusum.Baseline())))
+				s.trace.Emit(obs.Event{
+					Tick: int64(ts.Ticks) - 1, Rack: -1, Kind: obs.KindAnomaly,
+					A: float64(r.Avg), B: float64(s.cusum.Baseline()),
+				})
 				s.shard.det.detect.observe(s.st.Now() - s.onset)
 				s.closeExcursion()
 			} else if s.excursion && s.cusum.Sum() == 0 {
@@ -653,7 +651,10 @@ func (s *Session) step(u []float64) {
 	}
 	if s.st.Done() && !s.finished {
 		s.finished = true
-		s.event(EventFinished, fmt.Sprintf("horizon reached after %d ticks", ts.Ticks))
+		// The realized run length in the log header marks the finish.
+		m := s.trace.Meta()
+		m.Ticks = int64(ts.Ticks)
+		s.trace.SetMeta(m)
 	}
 	s.publish(ts, elapsed)
 }
@@ -678,9 +679,10 @@ func (s *Session) rollupLeave() {
 }
 
 // publish refreshes the cross-goroutine snapshot from ts, the engine's
-// current Stats, appends the tick to the observability rings and moves
-// the session's shard-rollup buckets. Zero allocations in steady state:
-// the snapshot is copied in place and the rings were sized at creation.
+// current Stats, flushes the staged events into the log, appends the
+// tick to the observability rings and moves the session's shard-rollup
+// buckets. Zero allocations in steady state: the snapshot and events
+// are copied in place and the rings were sized at creation.
 func (s *Session) publish(ts sim.TickStats, elapsed time.Duration) {
 	if s.series != nil && int64(ts.Ticks) != s.seriesTick {
 		// One sample per engine tick, so bucket index maps to sim time
@@ -724,15 +726,56 @@ func (s *Session) publish(ts sim.TickStats, elapsed time.Duration) {
 	if elapsed > 0 {
 		s.snap.Hist.observe(elapsed)
 	}
+	s.trace.Flush() // into s.log, under s.mu; the log never fails a write
 	s.mu.Unlock()
 }
 
-func (s *Session) event(typ, detail string) {
-	s.events.add(Event{
-		Tick:   s.st.Ticks(),
-		Offset: Duration{s.st.Now()},
-		Wall:   time.Now(),
-		Type:   typ,
-		Detail: detail,
-	})
+// eventLogCap is how many events a session's log retains; once it is
+// full the newest entry overwrites the oldest.
+const eventLogCap = 512
+
+// eventLog is a session's obs.Sink. It keeps the edges an operator
+// follows (level, shed, trip, overload, heat, anomaly, coast) in a
+// fixed ring and drops the per-tick and clocked kinds (micro_shave,
+// vdeb_alloc, margin_low). The staging tracer writes into it from
+// publish, under s.mu, which also guards every read.
+type eventLog struct {
+	meta obs.Meta
+	ring []obs.Event
+	next uint64 // sequence number of the next kept event
+}
+
+// Write implements obs.Sink.
+func (l *eventLog) Write(meta obs.Meta, events []obs.Event) error {
+	l.meta = meta
+	for _, e := range events {
+		switch e.Kind {
+		case obs.KindLevel, obs.KindShed, obs.KindTrip, obs.KindOverload,
+			obs.KindHeat, obs.KindAnomaly, obs.KindCoast:
+			l.ring[l.next%eventLogCap] = e
+			l.next++
+		}
+	}
+	return nil
+}
+
+// Close implements obs.Sink. The log outlives its tracer, so there is
+// nothing to release.
+func (l *eventLog) Close(uint64) error { return nil }
+
+// read copies out the retained events from sequence number
+// max(since, dropped) on; see Session.Events.
+func (l *eventLog) read(since uint64) (obs.Meta, []obs.Event, uint64) {
+	var dropped uint64
+	if l.next > eventLogCap {
+		dropped = l.next - eventLogCap
+	}
+	var events []obs.Event
+	if start := max(since, dropped); start < l.next {
+		events = make([]obs.Event, 0, l.next-start)
+		for seq := start; seq < l.next; seq++ {
+			events = append(events, l.ring[seq%eventLogCap])
+		}
+	}
+	return l.meta, events, dropped
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/padd"
 	"repro/internal/padd/wire"
 )
@@ -711,11 +712,21 @@ func TestBackpressure429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Deleting returns the run summary and forgets the session.
-	if code, body := c.get("/v1/sessions/bp/events"); code != http.StatusOK ||
-		!bytes.Contains(body, []byte(`"created"`)) {
-		t.Errorf("events: HTTP %d: %s", code, body)
+	// The event log is a JSONL trace whose meta header describes the
+	// session; the initial level assignment is its first event.
+	code, body := c.get("/v1/sessions/bp/events")
+	meta, events, foot, err := obs.ReadJSONL(bytes.NewReader(body))
+	if code != http.StatusOK || err != nil {
+		t.Fatalf("events: HTTP %d, %v: %s", code, err, body)
 	}
+	if meta.Scheme != "PAD" || meta.Racks != 2 || meta.ServersPerRack != 3 || meta.Tick != 100*time.Millisecond {
+		t.Errorf("events meta = %+v, want PAD 2x3 at 100ms", meta)
+	}
+	if len(events) == 0 || events[0].Kind != obs.KindLevel || foot.Events != len(events) || foot.Dropped != 0 {
+		t.Errorf("events = %v, footer %+v; want the initial level first and an exact footer", events, foot)
+	}
+
+	// Deleting returns the run summary and forgets the session.
 	delReq, _ := http.NewRequest(http.MethodDelete, c.base+"/v1/sessions/bp", nil)
 	delResp, err := http.DefaultClient.Do(delReq)
 	if err != nil {
