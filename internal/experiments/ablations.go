@@ -237,8 +237,8 @@ func AblationDetectors(p Params) (*AblationResult, error) {
 	}
 	for i, sh := range shapes {
 		run := runs[i]
-		thRate := meterAndDetect(run.rec, run.spikes, run.baseline, interval, p.seed())
-		cuRate := meterAndDetectCUSUM(run.rec, run.spikes, run.baseline, interval, p.seed())
+		thRate := meterAndDetect(run.rec, run.spikes, metering.NewDetector(run.baseline), interval, p.seed())
+		cuRate := meterAndDetect(run.rec, run.spikes, metering.NewCUSUMDetector(run.baseline), interval, p.seed())
 		out.Points = append(out.Points, AblationPoint{
 			Label: sh.label, X: thRate, Extra: cuRate,
 		})
@@ -246,25 +246,6 @@ func AblationDetectors(p Params) (*AblationResult, error) {
 	}
 	out.Table = tbl
 	return out, nil
-}
-
-// meterAndDetectCUSUM is meterAndDetect with the CUSUM detector.
-func meterAndDetectCUSUM(rec *sim.Recording, spikes []time.Duration,
-	baseline units.Watts, interval time.Duration, seed uint64) float64 {
-	meter, err := metering.NewMeter(interval, 25, seed)
-	if err != nil {
-		return 0
-	}
-	det := metering.NewCUSUMDetector(baseline)
-	var flagged []metering.IntervalReading
-	for _, v := range rec.RackDraw[0].Values {
-		for _, r := range meter.Record(units.Watts(v), rec.Step) {
-			if det.Observe(r) {
-				flagged = append(flagged, r)
-			}
-		}
-	}
-	return metering.DetectionRate(spikes, flagged, interval)
 }
 
 // AblationPlacement measures the preparation phase's cost: how many probe

@@ -102,7 +102,7 @@ func Table1(p Params) (*Table1Result, error) {
 				run := shapes[k]
 				k++
 				for _, iv := range intervals {
-					rate := meterAndDetect(run.rec, run.spikes, run.baseline, iv, p.seed())
+					rate := meterAndDetect(run.rec, run.spikes, metering.NewDetector(run.baseline), iv, p.seed())
 					out.Cells = append(out.Cells, Table1Cell{
 						Interval: iv, Servers: setup.servers, Scale: setup.scale,
 						Width: width, PerMinute: perMin, DetectionRate: rate,
@@ -157,19 +157,23 @@ func table1Run(p Params, key string, servers int, scale float64, width time.Dura
 	return res.Recording, atk.Attack.SpikeTimes(), baseline, nil
 }
 
-// meterAndDetect replays a recorded rack-draw series through a meter and
-// detector of the given interval and returns the per-spike detection
-// rate.
+// detector is an online anomaly detector over metered intervals:
+// metering.Detector or metering.CUSUMDetector.
+type detector interface {
+	Observe(metering.IntervalReading) bool
+}
+
+// meterAndDetect replays a recorded rack-draw series through a meter of
+// the given interval and the given detector, and returns the per-spike
+// detection rate.
 func meterAndDetect(rec *sim.Recording, spikes []time.Duration,
-	baseline units.Watts, interval time.Duration, seed uint64) float64 {
+	det detector, interval time.Duration, seed uint64) float64 {
 	meter, err := metering.NewMeter(interval, 25, seed)
 	if err != nil {
 		return 0
 	}
-	det := metering.NewDetector(baseline)
 	var flagged []metering.IntervalReading
-	draw := rec.RackDraw[0]
-	for _, v := range draw.Values {
+	for _, v := range rec.RackDraw[0].Values {
 		for _, r := range meter.Record(units.Watts(v), rec.Step) {
 			if det.Observe(r) {
 				flagged = append(flagged, r)

@@ -29,38 +29,6 @@ func marginBucket(w float64) int {
 	return numMarginBounds
 }
 
-// detectionBounds are the detection/shed latency histogram bucket upper
-// bounds in seconds of simulated time. With the default 5s metering
-// interval a single-interval detection lands at 5–10s; the tail covers
-// slow-burn excursions that accumulate across many intervals.
-var detectionBounds = [numDetBounds]float64{1, 2.5, 5, 7.5, 10, 15, 30, 60, 120, 300}
-
-const numDetBounds = 10
-
-// detHist is a lock-free fixed-bucket histogram of sim-time latencies,
-// written by shard executors concurrently. The sum is kept in integer
-// nanoseconds so concurrent observes never lose precision to a float
-// CAS loop; scrapes may tear across one observe, which Prometheus
-// histograms tolerate by design.
-type detHist struct {
-	counts   [numDetBounds + 1]atomic.Uint64 // +Inf bucket last
-	sumNanos atomic.Int64
-	total    atomic.Uint64
-}
-
-func (h *detHist) observe(d time.Duration) {
-	h.sumNanos.Add(int64(d))
-	h.total.Add(1)
-	s := d.Seconds()
-	for i, b := range detectionBounds {
-		if s <= b {
-			h.counts[i].Add(1)
-			return
-		}
-	}
-	h.counts[numDetBounds].Add(1)
-}
-
 // detectionStats is the manager-wide detection-latency accounting,
 // shared by every shard. An "onset" is the tick the CUSUM statistic
 // first leaves zero — the earliest online-observable sign of an
@@ -70,8 +38,8 @@ func (h *detHist) observe(d time.Duration) {
 // measure the defense, not the host's scheduling.
 type detectionStats struct {
 	onsets atomic.Int64
-	detect detHist
-	shed   detHist
+	detect *histogram // simLatency
+	shed   *histogram // simLatency
 }
 
 // shardRollup is one shard's lock-cheap fleet aggregate: independent
@@ -79,12 +47,14 @@ type detectionStats struct {
 // a fleet-wide scrape is O(shards), not O(sessions). Level and margin
 // are occupancy counters (each resident session sits in exactly one
 // bucket of each); samples is the shard's accepted-sample counter, the
-// numerator of its ingest rate.
+// numerator of its ingest rate; latency is the wall time of every tick
+// its sessions step.
 type shardRollup struct {
 	levels      [numLevels]atomic.Int64
 	margin      [numMarginBounds + 1]atomic.Int64
 	underAttack atomic.Int64
 	samples     atomic.Int64
+	latency     *histogram // tickLatency
 }
 
 // join registers a fresh session in the rollup at its initial position.
@@ -190,15 +160,15 @@ type FleetStatus struct {
 	Shards []ShardStatus `json:"shards"`
 }
 
-// histStatus converts a detHist snapshot into its JSON view.
-func histStatus(counts []uint64, sumNanos int64, total uint64) HistogramStatus {
+// histStatus converts a simLatency snapshot into its JSON view.
+func histStatus(s histSnapshot) HistogramStatus {
 	h := HistogramStatus{
-		BoundsSeconds: detectionBounds[:],
-		Counts:        make([]int64, len(counts)),
-		SumSeconds:    float64(sumNanos) / 1e9,
-		Count:         int64(total),
+		BoundsSeconds: simLatency.bounds,
+		Counts:        make([]int64, len(s.Counts)),
+		SumSeconds:    float64(s.Sum) / simLatency.scale,
+		Count:         int64(s.count()),
 	}
-	for i, c := range counts {
+	for i, c := range s.Counts {
 		h.Counts[i] = int64(c)
 	}
 	return h
@@ -236,12 +206,10 @@ func (m *Manager) Fleet() FleetStatus {
 			fs.MarginSessions[b] += sh.rollup.margin[b].Load()
 		}
 	}
-	var dc, sc [numDetBounds + 1]uint64
-	for i := range dc {
-		dc[i] = m.det.detect.counts[i].Load()
-		sc[i] = m.det.shed.counts[i].Load()
-	}
-	fs.DetectionLatency = histStatus(dc[:], m.det.detect.sumNanos.Load(), m.det.detect.total.Load())
-	fs.ShedLatency = histStatus(sc[:], m.det.shed.sumNanos.Load(), m.det.shed.total.Load())
+	var detect, shed histSnapshot
+	m.det.detect.addTo(&detect)
+	m.det.shed.addTo(&shed)
+	fs.DetectionLatency = histStatus(detect)
+	fs.ShedLatency = histStatus(shed)
 	return fs
 }

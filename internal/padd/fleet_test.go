@@ -255,13 +255,13 @@ func BenchmarkSessionPublishSeries(b *testing.B) {
 		b.Fatal(err)
 	}
 	ts := s.st.Stats()
-	s.publish(ts, time.Microsecond) // warm: the first append sizes the rings
+	s.publish(ts) // warm: the first append sizes the rings
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// The paused engine never advances, so reset the one-sample-per-
 		// tick guard to force the full append path every op.
 		s.seriesTick = -1
-		s.publish(ts, time.Microsecond)
+		s.publish(ts)
 	}
 }

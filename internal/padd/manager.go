@@ -26,11 +26,6 @@ type Options struct {
 	// GOMAXPROCS. Session CRUD and ingest on different shards never
 	// contend on a lock.
 	Shards int
-	// ShardWorkers is the worker-pool size per shard. Default 1 —
-	// with one shard per core, one worker each saturates the machine
-	// while keeping each session's engine single-threaded by
-	// construction.
-	ShardWorkers int
 	// MaxSessions caps resident sessions fleet-wide; 0 means
 	// unlimited. Past the cap, Create returns ErrSessionLimit so a
 	// runaway load generator degrades into 503s instead of an OOM.
@@ -40,9 +35,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.ShardWorkers <= 0 {
-		o.ShardWorkers = 1
 	}
 	return o
 }
@@ -60,7 +52,7 @@ type Manager struct {
 
 	framesJSON   atomic.Int64
 	framesBinary atomic.Int64
-	batchSizes   batchHist
+	batchSizes   *histogram // batchSize
 
 	// det is the fleet-wide detection-latency accounting shared by every
 	// shard's executors.
@@ -71,7 +63,7 @@ type Manager struct {
 	// cycle under gcMu.
 	gcMu      sync.Mutex
 	lastNumGC uint32
-	gcPauses  gcHist
+	gcPauses  *histogram // gcPause
 
 	// Persistent-stream state: live connections (closed on Shutdown),
 	// frames acked but not yet written (the in-flight window gauge) and
@@ -88,9 +80,15 @@ func NewManager() *Manager { return NewManagerWith(Options{}) }
 // NewManagerWith creates a session manager sized by opts.
 func NewManagerWith(opts Options) *Manager {
 	opts = opts.withDefaults()
-	m := &Manager{opts: opts, shards: make([]*shard, opts.Shards)}
+	m := &Manager{
+		opts:       opts,
+		shards:     make([]*shard, opts.Shards),
+		batchSizes: newHistogram(batchSize),
+		det:        detectionStats{detect: newHistogram(simLatency), shed: newHistogram(simLatency)},
+		gcPauses:   newHistogram(gcPause),
+	}
 	for i := range m.shards {
-		m.shards[i] = newShard(opts.ShardWorkers, &m.det)
+		m.shards[i] = newShard(&m.det)
 	}
 	return m
 }

@@ -2,81 +2,119 @@ package padd
 
 import (
 	"io"
+	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/padd/wire"
 )
 
-// latencyBounds are the tick-latency histogram bucket upper bounds in
-// seconds. A 22×10 cluster steps in single-digit microseconds, so the
-// buckets start fine and stretch to cover a loaded box.
-var latencyBounds = [numLatencyBounds]float64{
-	10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
-	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 1,
+// histSpec is a histogram's fixed bucket layout. Observations are
+// integers in a base unit — nanoseconds for durations, samples for
+// batch sizes — and scale base units make one exposed unit, the unit
+// the bounds and the exported sum are given in.
+type histSpec struct {
+	bounds []float64 // bucket upper bounds in the exposed unit, ascending
+	scale  float64   // base units per exposed unit
 }
 
-const numLatencyBounds = 15
+var (
+	// tickLatency buckets wall time per control tick, in seconds. A
+	// 22×10 cluster steps in single-digit microseconds, so the buckets
+	// start fine and stretch to cover a loaded box.
+	tickLatency = histSpec{[]float64{
+		10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
+		1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 1,
+	}, 1e9}
+	// batchSize buckets samples per accepted ingest batch: powers of
+	// two from a single sample up to the largest burst a frame record
+	// can reasonably carry.
+	batchSize = histSpec{[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}, 1}
+	// gcPause buckets Go stop-the-world pauses, in seconds; they sit
+	// well under a millisecond on a healthy box, so the tail buckets
+	// are the alarm zone.
+	gcPause = histSpec{[]float64{10e-6, 50e-6, 100e-6, 500e-6, 1e-3, 5e-3, 10e-3, 50e-3, 100e-3}, 1e9}
+	// simLatency buckets detection and shed latencies, in seconds of
+	// simulated time. With the default 5s metering interval a
+	// single-interval detection lands at 5–10s; the tail covers
+	// slow-burn excursions that accumulate across many intervals.
+	simLatency = histSpec{[]float64{1, 2.5, 5, 7.5, 10, 15, 30, 60, 120, 300}, 1e9}
+)
 
-// latencyHist is a fixed-bucket histogram of tick latencies. It is
-// written by the session goroutine under the session's snapshot lock
-// and copied out whole for scraping.
-type latencyHist struct {
-	counts [numLatencyBounds + 1]uint64 // +Inf bucket last
-	sum    float64
-	total  uint64
+// histogram is a lock-free fixed-bound histogram, observed by any
+// goroutine concurrently without allocating. Its sum is an integer in
+// the spec's base unit, so concurrent observes stay exact and do not
+// depend on their order. A scrape may tear across one observe, which
+// Prometheus histograms tolerate by design.
+type histogram struct {
+	limits []int64         // bucket upper bounds in base units
+	counts []atomic.Uint64 // per bucket, +Inf last
+	sum    atomic.Int64
 }
 
-func (h *latencyHist) observe(d time.Duration) {
-	s := d.Seconds()
-	h.sum += s
-	h.total++
-	for i, b := range latencyBounds {
-		if s <= b {
-			h.counts[i]++
-			return
-		}
+func newHistogram(spec histSpec) *histogram {
+	h := &histogram{
+		limits: make([]int64, len(spec.bounds)),
+		counts: make([]atomic.Uint64, len(spec.bounds)+1),
 	}
-	h.counts[len(latencyBounds)]++
+	for i, b := range spec.bounds {
+		h.limits[i] = int64(math.Round(b * spec.scale))
+	}
+	return h
 }
 
-// batchBounds are the ingest batch-size histogram bucket upper bounds
-// (samples per accepted batch). Powers of two from a single sample up
-// to the largest burst a frame record can reasonably carry.
-var batchBounds = [numBatchBounds]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-
-const numBatchBounds = 11
-
-// batchHist is a lock-free fixed-bucket histogram of ingest batch
-// sizes, written by every ingest handler concurrently. Buckets are
-// independent atomics — a scrape may be torn across a single observe,
-// which Prometheus histograms tolerate by design.
-type batchHist struct {
-	counts [numBatchBounds + 1]atomic.Uint64 // +Inf bucket last
-	sum    atomic.Uint64
-	total  atomic.Uint64
-}
-
-func (h *batchHist) observe(samples int) {
-	h.sum.Add(uint64(samples))
-	h.total.Add(1)
-	for i, b := range batchBounds {
-		if float64(samples) <= b {
+func (h *histogram) observe(v int64) {
+	h.sum.Add(v)
+	for i, l := range h.limits {
+		if v <= l {
 			h.counts[i].Add(1)
 			return
 		}
 	}
-	h.counts[numBatchBounds].Add(1)
+	h.counts[len(h.limits)].Add(1)
 }
 
-// noteIngest records one accepted ingest batch in the given format
-// ("json" or "binary"). Frame-level accounting (frames_total) is done
-// once per POST by noteFrame.
-func (m *Manager) noteIngest(samples int) { m.batchSizes.observe(samples) }
+// histSnapshot is histogram contents read out: per-bucket
+// (non-cumulative) counts, +Inf last, and the sum in base units.
+type histSnapshot struct {
+	Counts []uint64
+	Sum    int64
+}
+
+// addTo adds the histogram's current contents into s, so a snapshot
+// can sum several histograms of one spec.
+func (h *histogram) addTo(s *histSnapshot) {
+	if s.Counts == nil {
+		s.Counts = make([]uint64, len(h.counts))
+	}
+	for i := range h.counts {
+		s.Counts[i] += h.counts[i].Load()
+	}
+	s.Sum += h.sum.Load()
+}
+
+// count is the number of observations in the snapshot.
+func (s histSnapshot) count() uint64 {
+	var n uint64
+	for _, c := range s.Counts {
+		n += c
+	}
+	return n
+}
+
+// expose installs the snapshot as the registry's unlabeled histogram
+// family name.
+func (spec histSpec) expose(reg *obs.Registry, name, help string, s histSnapshot) {
+	reg.Histogram(name, help, "", spec.bounds).
+		SetHistogram("", s.Counts, float64(s.Sum)/spec.scale, s.count())
+}
+
+// noteIngest records the size of one accepted ingest batch.
+// Frame-level accounting (frames_total) is done once per POST by
+// noteFrame.
+func (m *Manager) noteIngest(samples int) { m.batchSizes.observe(int64(samples)) }
 
 // noteFrame counts one ingest POST by format.
 func (m *Manager) noteFrame(binary bool) {
@@ -91,33 +129,6 @@ func (m *Manager) noteFrame(binary bool) {
 // (wire.AckOK through wire.AckMalformed).
 const numAckStatuses = wire.AckMalformed + 1
 
-// gcPauseBounds are the padd_go_gc_pauses histogram bucket upper bounds
-// in seconds; Go stop-the-world pauses sit well under a millisecond on
-// a healthy box, so the tail buckets are the alarm zone.
-var gcPauseBounds = [numGCBounds]float64{10e-6, 50e-6, 100e-6, 500e-6, 1e-3, 5e-3, 10e-3, 50e-3, 100e-3}
-
-const numGCBounds = 9
-
-// gcHist is the GC-pause histogram, guarded by Manager.gcMu (pauses are
-// harvested from runtime.MemStats at scrape time, never on a hot path).
-type gcHist struct {
-	counts [numGCBounds + 1]uint64 // +Inf bucket last
-	sum    float64
-	total  uint64
-}
-
-func (h *gcHist) observe(seconds float64) {
-	h.sum += seconds
-	h.total++
-	for i, b := range gcPauseBounds {
-		if seconds <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[numGCBounds]++
-}
-
 // noteStreamFrame counts one stream data frame by its ack status.
 func (m *Manager) noteStreamFrame(status byte) {
 	if int(status) < len(m.streamFrames) {
@@ -130,9 +141,7 @@ type fleetMetrics struct {
 	ShardSessions  []int
 	FramesJSON     int64
 	FramesBinary   int64
-	BatchCounts    [numBatchBounds + 1]uint64
-	BatchSum       float64
-	BatchTotal     uint64
+	BatchSizes     histSnapshot
 	StreamConns    int
 	StreamInflight int64
 	StreamFrames   [numAckStatuses]int64
@@ -142,24 +151,19 @@ type fleetMetrics struct {
 	UnderAttack   int64
 	MarginCounts  [numMarginBounds + 1]int64
 	ShardSamples  []int64
+	TickLatency   histSnapshot
 
-	// Detection-latency accounting (sim time, seconds).
-	Onsets       int64
-	DetectCounts [numDetBounds + 1]uint64
-	DetectSum    float64
-	DetectTotal  uint64
-	ShedCounts   [numDetBounds + 1]uint64
-	ShedSum      float64
-	ShedTotal    uint64
+	// Detection-latency accounting (sim time).
+	Onsets           int64
+	DetectionLatency histSnapshot
+	ShedLatency      histSnapshot
 
 	// Go runtime families. Threaded through this snapshot (rather than
 	// read inside the writer) so the golden test can pin the exposition
 	// with synthetic values.
-	Goroutines    int
-	HeapBytes     uint64
-	GCPauseCounts [numGCBounds + 1]uint64
-	GCPauseSum    float64
-	GCPauseTotal  uint64
+	Goroutines int
+	HeapBytes  uint64
+	GCPauses   histSnapshot
 }
 
 func (m *Manager) fleetMetrics() fleetMetrics {
@@ -170,11 +174,7 @@ func (m *Manager) fleetMetrics() fleetMetrics {
 		StreamConns:    m.StreamConnections(),
 		StreamInflight: m.streamInflight.Load(),
 	}
-	for i := range fm.BatchCounts {
-		fm.BatchCounts[i] = m.batchSizes.counts[i].Load()
-	}
-	fm.BatchSum = float64(m.batchSizes.sum.Load())
-	fm.BatchTotal = m.batchSizes.total.Load()
+	m.batchSizes.addTo(&fm.BatchSizes)
 	for i := range fm.StreamFrames {
 		fm.StreamFrames[i] = m.streamFrames[i].Load()
 	}
@@ -189,16 +189,11 @@ func (m *Manager) fleetMetrics() fleetMetrics {
 		for b := 0; b <= numMarginBounds; b++ {
 			fm.MarginCounts[b] += sh.rollup.margin[b].Load()
 		}
+		sh.rollup.latency.addTo(&fm.TickLatency)
 	}
 	fm.Onsets = m.det.onsets.Load()
-	for i := range fm.DetectCounts {
-		fm.DetectCounts[i] = m.det.detect.counts[i].Load()
-		fm.ShedCounts[i] = m.det.shed.counts[i].Load()
-	}
-	fm.DetectSum = float64(m.det.detect.sumNanos.Load()) / 1e9
-	fm.DetectTotal = m.det.detect.total.Load()
-	fm.ShedSum = float64(m.det.shed.sumNanos.Load()) / 1e9
-	fm.ShedTotal = m.det.shed.total.Load()
+	m.det.detect.addTo(&fm.DetectionLatency)
+	m.det.shed.addTo(&fm.ShedLatency)
 
 	fm.Goroutines = runtime.NumGoroutine()
 	var ms runtime.MemStats
@@ -211,44 +206,34 @@ func (m *Manager) fleetMetrics() fleetMetrics {
 		m.lastNumGC = ms.NumGC - uint32(len(ms.PauseNs))
 	}
 	for n := m.lastNumGC; n < ms.NumGC; n++ {
-		m.gcPauses.observe(float64(ms.PauseNs[n%uint32(len(ms.PauseNs))]) / 1e9)
+		m.gcPauses.observe(int64(ms.PauseNs[n%uint32(len(ms.PauseNs))]))
 	}
 	m.lastNumGC = ms.NumGC
-	fm.GCPauseCounts = m.gcPauses.counts
-	fm.GCPauseSum = m.gcPauses.sum
-	fm.GCPauseTotal = m.gcPauses.total
 	m.gcMu.Unlock()
+	m.gcPauses.addTo(&fm.GCPauses)
 	return fm
 }
 
-// metricsRow is one session's scrape snapshot, paired with its ID.
-type metricsRow struct {
-	ID string
-	M  sessionMetrics
-}
+// WriteMetrics renders the Prometheus text exposition. Every family is
+// fleet-wide, so a scrape costs O(shards) whatever the session count;
+// one session's state is GET /v1/sessions/{id}. Hand-rolled: the
+// container has no client library, and the format is lines of
+// `name{labels} value`.
+func (m *Manager) WriteMetrics(w io.Writer) { writeMetrics(w, m.fleetMetrics()) }
 
-// WriteMetrics renders the Prometheus text exposition for every live
-// session. Hand-rolled: the container has no client library, and the
-// format is lines of `name{labels} value`.
-func (m *Manager) WriteMetrics(w io.Writer) {
-	sessions := m.List()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID() < sessions[j].ID() })
-	rows := make([]metricsRow, len(sessions))
-	for i, s := range sessions {
-		rows[i] = metricsRow{ID: s.ID(), M: s.metrics()}
-	}
-	writeSessionMetrics(w, m.fleetMetrics(), rows)
-}
-
-// writeSessionMetrics renders the exposition for the given snapshot rows
-// (sorted by ID), built on the shared obs.Registry so padd and the other
-// instrumented subsystems speak one format. Split from WriteMetrics so
-// the byte format is testable against deterministic synthetic rows; the
-// padd golden test pins it against the pre-registry output.
-func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
+// writeMetrics renders the exposition for a fleet snapshot, built on
+// the shared obs.Registry so padd and the other instrumented subsystems
+// speak one format. Split from WriteMetrics so the byte format is
+// testable against a deterministic synthetic snapshot; the padd golden
+// test pins it.
+func writeMetrics(w io.Writer, fm fleetMetrics) {
 	reg := obs.NewRegistry()
+	sessions := 0
+	for _, n := range fm.ShardSessions {
+		sessions += n
+	}
 	reg.Gauge("padd_up", "Whether the daemon is serving.", "").Set("", 1)
-	reg.Gauge("padd_sessions", "Number of live sessions.", "").Set("", float64(len(rows)))
+	reg.Gauge("padd_sessions", "Number of live sessions.", "").Set("", float64(sessions))
 
 	shardSessions := reg.Gauge("padd_shard_sessions", "Resident sessions per manager shard.", "shard")
 	for i, n := range fm.ShardSessions {
@@ -257,8 +242,7 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 	frames := reg.Counter("padd_ingest_frames_total", "Telemetry ingest requests by wire format.", "format")
 	frames.Set("json", float64(fm.FramesJSON))
 	frames.Set("binary", float64(fm.FramesBinary))
-	reg.Histogram("padd_ingest_batch_size", "Samples per accepted ingest batch.", "", batchBounds[:]).
-		SetHistogram("", fm.BatchCounts[:], fm.BatchSum, fm.BatchTotal)
+	batchSize.expose(reg, "padd_ingest_batch_size", "Samples per accepted ingest batch.", fm.BatchSizes)
 	reg.Gauge("padd_stream_connections", "Live persistent ingest stream connections.", "").
 		Set("", float64(fm.StreamConns))
 	streamFrames := reg.Counter("padd_stream_frames_total", "Stream data frames by ack result.", "result")
@@ -284,10 +268,8 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 	marginDist.Set("+Inf", float64(cumMargin))
 	reg.Counter("padd_detection_onsets_total", "CUSUM excursions opened (statistic left zero).", "").
 		Set("", float64(fm.Onsets))
-	reg.Histogram("padd_detection_latency_seconds", "Sim time from excursion onset to the CUSUM flag.", "", detectionBounds[:]).
-		SetHistogram("", fm.DetectCounts[:], fm.DetectSum, fm.DetectTotal)
-	reg.Histogram("padd_shed_latency_seconds", "Sim time from excursion onset to the first shedding tick.", "", detectionBounds[:]).
-		SetHistogram("", fm.ShedCounts[:], fm.ShedSum, fm.ShedTotal)
+	simLatency.expose(reg, "padd_detection_latency_seconds", "Sim time from excursion onset to the CUSUM flag.", fm.DetectionLatency)
+	simLatency.expose(reg, "padd_shed_latency_seconds", "Sim time from excursion onset to the first shedding tick.", fm.ShedLatency)
 	shardSamples := reg.Counter("padd_shard_ingest_samples_total", "Telemetry samples accepted per manager shard.", "shard")
 	for i, n := range fm.ShardSamples {
 		shardSamples.Set(strconv.Itoa(i), float64(n))
@@ -296,55 +278,7 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 		Set("", float64(fm.Goroutines))
 	reg.Gauge("padd_go_heap_bytes", "Live heap bytes (runtime.MemStats.HeapAlloc).", "").
 		Set("", float64(fm.HeapBytes))
-	reg.Histogram("padd_go_gc_pauses", "Stop-the-world GC pause durations in seconds.", "", gcPauseBounds[:]).
-		SetHistogram("", fm.GCPauseCounts[:], fm.GCPauseSum, fm.GCPauseTotal)
-
-	gauge := func(name, help string) *obs.Family { return reg.Gauge(name, help, "session") }
-	counter := func(name, help string) *obs.Family { return reg.Counter(name, help, "session") }
-
-	soc := gauge("padd_session_soc", "Mean rack battery state of charge in [0,1].")
-	minSOC := gauge("padd_session_min_soc", "Lowest rack battery state of charge in [0,1].")
-	microSOC := gauge("padd_session_micro_soc", "Mean μDEB state of charge in [0,1]; absent without μDEB hardware.")
-	level := gauge("padd_session_level", "PAD security level (1=Normal, 2=MinorIncident, 3=Emergency; 0 when the scheme has none).")
-	shedServers := gauge("padd_session_shed_servers", "Servers held in deep sleep on the last tick.")
-	shedWatts := gauge("padd_session_shed_watts", "Demand power displaced by shedding on the last tick.")
-	gridWatts := gauge("padd_session_grid_watts", "Cluster feed draw on the last tick.")
-	margin := gauge("padd_session_breaker_margin_watts", "Smallest rated-minus-draw margin across untripped feeds.")
-	queueDepth := gauge("padd_session_queue_depth", "Telemetry batches waiting in the ingest queue.")
-	tripped := gauge("padd_session_tripped", "1 once any breaker has tripped.")
-	ticks := counter("padd_session_ticks_total", "Control ticks advanced.")
-	accepted := counter("padd_session_accepted_samples_total", "Telemetry samples accepted into the queue.")
-	rejected := counter("padd_session_rejected_batches_total", "Telemetry batches rejected with 429 backpressure.")
-	coasts := counter("padd_session_coast_ticks_total", "Wall-clock ticks advanced on stale demand (late telemetry).")
-	discarded := counter("padd_session_discarded_samples_total", "Samples discarded after the session finished.")
-	anomalies := counter("padd_session_anomalies_total", "Metering intervals the CUSUM detector flagged.")
-	latency := reg.Histogram("padd_tick_latency_seconds", "Wall time per control tick.", "session", latencyBounds[:])
-
-	for i := range rows {
-		id, sm := rows[i].ID, &rows[i].M
-		soc.Set(id, sm.MeanSOC)
-		minSOC.Set(id, sm.MinSOC)
-		if sm.MeanMicroSOC >= 0 {
-			microSOC.Set(id, sm.MeanMicroSOC)
-		}
-		level.Set(id, float64(sm.Level))
-		shedServers.Set(id, float64(sm.ShedServers))
-		shedWatts.Set(id, float64(sm.ShedWatts))
-		gridWatts.Set(id, float64(sm.TotalGrid))
-		margin.Set(id, float64(sm.BreakerMargin))
-		queueDepth.Set(id, float64(sm.QueueDepth))
-		if sm.Tripped {
-			tripped.Set(id, 1)
-		} else {
-			tripped.Set(id, 0)
-		}
-		ticks.Set(id, float64(sm.Ticks))
-		accepted.Set(id, float64(sm.Accepted))
-		rejected.Set(id, float64(sm.Rejected))
-		coasts.Set(id, float64(sm.Coasts))
-		discarded.Set(id, float64(sm.Discarded))
-		anomalies.Set(id, float64(sm.Anomalies))
-		latency.SetHistogram(id, sm.Hist.counts[:], sm.Hist.sum, sm.Hist.total)
-	}
+	gcPause.expose(reg, "padd_go_gc_pauses", "Stop-the-world GC pause durations in seconds.", fm.GCPauses)
+	tickLatency.expose(reg, "padd_tick_latency_seconds", "Wall time per control tick, over every session.", fm.TickLatency)
 	reg.Write(w) //nolint:errcheck // bytes.Buffer / http writers; matches the historical best-effort scrape
 }

@@ -5,92 +5,43 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenRows is a deterministic scrape: two sessions, one with μDEB
-// hardware and one without (pinning the absent-gauge path), with
-// hand-set histogram contents so no wall clock leaks into the bytes.
-func goldenRows() []metricsRow {
-	a := sessionMetrics{
-		Ticks:         1200,
-		Now:           2 * time.Minute,
-		Level:         core.Level2,
-		MeanSOC:       0.8125,
-		MinSOC:        0.25,
-		MeanMicroSOC:  0.5,
-		TotalGrid:     41250.5,
-		ShedWatts:     512,
-		BreakerMargin: 1234.75,
-		ShedServers:   3,
-		Tripped:       false,
-		Coasts:        7,
-		Discarded:     2,
-		Anomalies:     1,
-		Accepted:      4800,
-		Rejected:      5,
-		QueueDepth:    2,
-	}
-	a.Hist.counts = [numLatencyBounds + 1]uint64{3, 10, 40, 200, 800, 100, 40, 5, 1, 0, 0, 0, 0, 0, 0, 1}
-	a.Hist.sum = 0.32125
-	a.Hist.total = 1200
-
-	b := sessionMetrics{
-		Ticks:         50,
-		Level:         0,
-		MeanSOC:       1,
-		MinSOC:        1,
-		MeanMicroSOC:  -1, // no μDEB hardware: padd_session_micro_soc absent
-		TotalGrid:     1000,
-		BreakerMargin: 9000,
-		Tripped:       true,
-		Accepted:      50,
-	}
-	b.Hist.counts = [numLatencyBounds + 1]uint64{50}
-	b.Hist.sum = 0.0003
-	b.Hist.total = 50
-
-	return []metricsRow{{ID: "alpha", M: a}, {ID: "beta", M: b}}
-}
-
-// goldenFleet is the matching deterministic manager-level snapshot:
-// two shards, both POST ingest formats exercised, a hand-set batch-size
-// histogram, and a live stream with every ack result represented.
+// goldenFleet is a deterministic manager-level snapshot: two shards,
+// both POST ingest formats exercised, hand-set histogram contents (so
+// no wall clock leaks into the bytes), and a live stream with every ack
+// result represented.
 func goldenFleet() fleetMetrics {
-	fm := fleetMetrics{
+	return fleetMetrics{
 		ShardSessions:  []int{1, 1},
 		FramesJSON:     40,
 		FramesBinary:   8,
+		BatchSizes:     histSnapshot{Counts: []uint64{5, 3, 10, 20, 8, 1, 0, 0, 0, 0, 1, 0}, Sum: 4850},
 		StreamConns:    2,
 		StreamInflight: 3,
 		StreamFrames:   [numAckStatuses]int64{120, 4, 7, 1, 1},
-	}
-	fm.BatchCounts = [numBatchBounds + 1]uint64{5, 3, 10, 20, 8, 1, 0, 0, 0, 0, 1, 0}
-	fm.BatchSum = 4850
-	fm.BatchTotal = 48
 
-	fm.LevelSessions = [numLevels]int64{0, 1, 1, 0}
-	fm.UnderAttack = 1
-	fm.MarginCounts = [numMarginBounds + 1]int64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0}
-	fm.ShardSamples = []int64{4800, 50}
-	fm.Onsets = 3
-	fm.DetectCounts = [numDetBounds + 1]uint64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0}
-	fm.DetectSum = 12.5
-	fm.DetectTotal = 2
-	fm.ShedCounts = [numDetBounds + 1]uint64{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}
-	fm.ShedSum = 6.2
-	fm.ShedTotal = 1
-	fm.Goroutines = 17
-	fm.HeapBytes = 4 << 20
-	fm.GCPauseCounts = [numGCBounds + 1]uint64{2, 5, 1, 0, 0, 0, 0, 0, 0, 0}
-	fm.GCPauseSum = 0.00042
-	fm.GCPauseTotal = 8
-	return fm
+		LevelSessions: [numLevels]int64{0, 1, 1, 0},
+		UnderAttack:   1,
+		MarginCounts:  [numMarginBounds + 1]int64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0},
+		ShardSamples:  []int64{4800, 50},
+		TickLatency: histSnapshot{
+			Counts: []uint64{53, 10, 40, 200, 800, 100, 40, 5, 1, 0, 0, 0, 0, 0, 0, 1},
+			Sum:    321_550_000,
+		},
+
+		Onsets:           3,
+		DetectionLatency: histSnapshot{Counts: []uint64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0}, Sum: 12_500_000_000},
+		ShedLatency:      histSnapshot{Counts: []uint64{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, Sum: 6_200_000_000},
+
+		Goroutines: 17,
+		HeapBytes:  4 << 20,
+		GCPauses:   histSnapshot{Counts: []uint64{2, 5, 1, 0, 0, 0, 0, 0, 0, 0}, Sum: 420_000},
+	}
 }
 
 // TestMetricsGolden pins the Prometheus text exposition byte-for-byte.
@@ -99,7 +50,7 @@ func goldenFleet() fleetMetrics {
 // (regenerate with -update) and called out.
 func TestMetricsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	writeSessionMetrics(&buf, goldenFleet(), goldenRows())
+	writeMetrics(&buf, goldenFleet())
 
 	golden := filepath.Join("testdata", "metrics.golden")
 	if *updateGolden {
@@ -124,7 +75,7 @@ func TestMetricsGolden(t *testing.T) {
 // declares itself so dashboards see the schema before the first session.
 func TestMetricsEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	writeSessionMetrics(&buf, fleetMetrics{}, nil)
+	writeMetrics(&buf, fleetMetrics{})
 	out := buf.String()
 	for _, want := range []string{
 		"padd_up 1\n", "padd_sessions 0\n",
@@ -148,12 +99,53 @@ func TestMetricsEmpty(t *testing.T) {
 		"padd_go_goroutines 0\n",
 		"padd_go_heap_bytes 0\n",
 		"# TYPE padd_go_gc_pauses histogram\n",
-		"# TYPE padd_session_soc gauge\n",
-		"# TYPE padd_session_ticks_total counter\n",
 		"# TYPE padd_tick_latency_seconds histogram\n",
+		"padd_tick_latency_seconds_count 0\n",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("empty exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestHistogramConcurrentExact observes from several goroutines at
+// once: counts and the integer sum must come out exact whatever the
+// interleaving, a value equal to a bound must land in that bound's
+// bucket, and one past the last bound in +Inf.
+func TestHistogramConcurrentExact(t *testing.T) {
+	h := newHistogram(simLatency)
+	values := []int64{0, 1e9, 1e9 + 1, 2_500_000_000, 299_999_999_999, 300e9, 300e9 + 1}
+	want := []uint64{2, 2, 0, 0, 0, 0, 0, 0, 0, 2, 1} // per round: buckets ≤1s, ≤2.5s, …, ≤300s, +Inf
+	const workers, rounds = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, v := range values {
+					h.observe(v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	var s histSnapshot
+	h.addTo(&s)
+	var sum int64
+	for _, v := range values {
+		sum += v
+	}
+	if s.Sum != workers*rounds*sum {
+		t.Errorf("sum = %d, want %d", s.Sum, workers*rounds*sum)
+	}
+	for i, c := range s.Counts {
+		if c != workers*rounds*want[i] {
+			t.Errorf("bucket %d = %d, want %d (counts %v)", i, c, workers*rounds*want[i], s.Counts)
+		}
+	}
+	if n := s.count(); n != workers*rounds*uint64(len(values)) {
+		t.Errorf("count = %d, want %d", n, workers*rounds*len(values))
 	}
 }

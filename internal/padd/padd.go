@@ -21,12 +21,15 @@
 //   - Sessions in wall-clock mode tick on real time: when telemetry is
 //     late the session coasts on the last known demand, so batteries,
 //     breakers and the security policy keep advancing.
-//   - Observability: GET /metrics exposes Prometheus-style per-session
-//     gauges (SOC, security level, shed watts, breaker margin, queue
-//     depth), tick- and detection-latency histograms, fleet occupancy
-//     families and Go runtime stats; GET /v1/sessions/{id}/events
-//     returns the session's last 512 edge events (level, shed, trip,
-//     overload, heat, anomaly, coast) as an obs JSONL trace that
+//   - Observability: GET /metrics exposes Prometheus-style fleet
+//     families only — tick- and detection-latency histograms, ingest
+//     and stream counters, fleet occupancy families and Go runtime
+//     stats — so a scrape costs O(shards) whatever the session count;
+//     a session's SOC, security level, shed watts, breaker margin and
+//     queue depth are its GET /v1/sessions/{id} status.
+//     GET /v1/sessions/{id}/events returns the session's last 512 edge
+//     events (level, shed, trip, overload, heat, anomaly, coast) as an
+//     obs JSONL trace that
 //     cmd/padtrace reads, the same events offline runs trace. Each
 //     session additionally records its key signals into bounded ring
 //     time series with tiered downsampling (GET

@@ -50,15 +50,10 @@ type ReplayConfig struct {
 	AttackFactory func() ([]sim.AttackSpec, error)
 	// BatchSize is the number of ticks per telemetry POST.
 	BatchSize int
-	// Binary streams the online pass through the batched binary ingest
-	// endpoint (/v1/ingest) instead of the per-session JSON route. The
-	// two paths must agree bit for bit; -replay proves both.
-	// Superseded by Mode; kept so zero-value callers keep meaning JSON.
-	Binary bool
 	// Mode selects the online ingest path: ModeJSON (per-session JSON
 	// POSTs), ModeBinary (batched wire frames over POST /v1/ingest) or
 	// ModeStream (one persistent /v1/stream connection with binary
-	// acks). Empty falls back to Binary. All three must agree with the
+	// acks). Empty means ModeJSON. All three must agree with the
 	// offline engine bit for bit; -replay proves them.
 	Mode string
 	// Log, when set, receives one progress line per scheme.
@@ -74,11 +69,7 @@ const (
 
 func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.Mode == "" {
-		if c.Binary {
-			c.Mode = ModeBinary
-		} else {
-			c.Mode = ModeJSON
-		}
+		c.Mode = ModeJSON
 	}
 	if len(c.Schemes) == 0 {
 		c.Schemes = schemes.SchemeNames

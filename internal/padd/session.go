@@ -85,7 +85,7 @@ const maxCoastDebt = 64
 
 // sessionMetrics is the cross-goroutine snapshot of a session's state,
 // refreshed by the executing worker once per tick and copied out whole
-// by scrapers.
+// by Status.
 type sessionMetrics struct {
 	Ticks         int64
 	Now           time.Duration
@@ -102,7 +102,6 @@ type sessionMetrics struct {
 	Coasts        int64
 	Discarded     int64
 	Anomalies     int64
-	Hist          latencyHist
 
 	// Filled in by metrics() from atomics / queue state.
 	Accepted   int64
@@ -543,14 +542,16 @@ func (s *Session) Result() *sim.Result {
 }
 
 // Events returns the session's event log: the run description (Ticks
-// is set once the session finishes), the retained events oldest first
-// starting at sequence number max(since, dropped), and dropped, the
-// count of oldest entries the ring has overwritten. A poller passes
+// is the count of ticks published so far), the retained events oldest
+// first starting at sequence number max(since, dropped), and dropped,
+// the count of oldest entries the ring has overwritten. A poller passes
 // max(since, dropped) + len(events) as its next since.
 func (s *Session) Events(since uint64) (meta obs.Meta, events []obs.Event, dropped uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.log.read(since)
+	meta, events, dropped = s.log.read(since)
+	meta.Ticks = s.snap.Ticks
+	return meta, events, dropped
 }
 
 // metrics copies out the cross-goroutine snapshot.
@@ -573,7 +574,7 @@ func (s *Session) processFlat(b flatBatch) {
 	for i := 0; i < b.samples; i++ {
 		if s.st.Done() {
 			s.discarded += int64(b.samples - i)
-			s.publish(s.st.Stats(), 0)
+			s.publish(s.st.Stats())
 			break
 		}
 		u := b.u[i*servers : (i+1)*servers]
@@ -600,12 +601,13 @@ func (s *Session) coast() {
 }
 
 // step advances the engine one tick (emitting its edges into the
-// staging tracer), runs metering, and publishes the snapshot and the
-// tick's events.
+// staging tracer), observes the tick's wall time into the shard
+// rollup, runs metering, and publishes the snapshot and the tick's
+// events.
 func (s *Session) step(u []float64) {
 	start := time.Now()
 	err := s.st.Advance(u)
-	elapsed := time.Since(start)
+	s.shard.rollup.latency.observe(int64(time.Since(start)))
 	if err != nil {
 		// Both callers check Done first and ingest validated the demand
 		// length, so an error here is a broken invariant.
@@ -634,7 +636,7 @@ func (s *Session) step(u []float64) {
 					Tick: int64(ts.Ticks) - 1, Rack: -1, Kind: obs.KindAnomaly,
 					A: float64(r.Avg), B: float64(s.cusum.Baseline()),
 				})
-				s.shard.det.detect.observe(s.st.Now() - s.onset)
+				s.shard.det.detect.observe(int64(s.st.Now() - s.onset))
 				s.closeExcursion()
 			} else if s.excursion && s.cusum.Sum() == 0 {
 				s.closeExcursion() // decayed without crossing the decision level
@@ -647,16 +649,12 @@ func (s *Session) step(u []float64) {
 	// observable.
 	if s.excursion && !s.shedSeen && ts.ShedServers > 0 {
 		s.shedSeen = true
-		s.shard.det.shed.observe(s.st.Now() - s.onset)
+		s.shard.det.shed.observe(int64(s.st.Now() - s.onset))
 	}
-	if s.st.Done() && !s.finished {
+	if s.st.Done() {
 		s.finished = true
-		// The realized run length in the log header marks the finish.
-		m := s.trace.Meta()
-		m.Ticks = int64(ts.Ticks)
-		s.trace.SetMeta(m)
 	}
-	s.publish(ts, elapsed)
+	s.publish(ts)
 }
 
 // closeExcursion resolves the open CUSUM excursion (flagged or
@@ -683,7 +681,7 @@ func (s *Session) rollupLeave() {
 // tick to the observability rings and moves the session's shard-rollup
 // buckets. Zero allocations in steady state: the snapshot and events
 // are copied in place and the rings were sized at creation.
-func (s *Session) publish(ts sim.TickStats, elapsed time.Duration) {
+func (s *Session) publish(ts sim.TickStats) {
 	if s.series != nil && int64(ts.Ticks) != s.seriesTick {
 		// One sample per engine tick, so bucket index maps to sim time
 		// (index × step × tick); the discard path republishes without
@@ -723,9 +721,6 @@ func (s *Session) publish(ts sim.TickStats, elapsed time.Duration) {
 	s.snap.Coasts = s.coasts
 	s.snap.Discarded = s.discarded
 	s.snap.Anomalies = s.anomalies
-	if elapsed > 0 {
-		s.snap.Hist.observe(elapsed)
-	}
 	s.trace.Flush() // into s.log, under s.mu; the log never fails a write
 	s.mu.Unlock()
 }

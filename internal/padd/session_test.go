@@ -217,7 +217,7 @@ func TestEventLogRing(t *testing.T) {
 		s.trace.Emit(obs.Event{Tick: int64(i), Rack: -1, Kind: obs.KindCoast, A: float64(base + i)})
 		// A dropped kind between kept ones must not consume a slot.
 		s.trace.Emit(obs.Event{Tick: int64(i), Rack: 0, Kind: obs.KindMicroShave})
-		s.publish(stats, 0)
+		s.publish(stats)
 	}
 	close(stop)
 	wg.Wait()
@@ -261,6 +261,41 @@ func TestEventLogRing(t *testing.T) {
 	}
 	if meta.Scheme != "Conv" || len(events) != 10 || foot.Events != 10 || foot.Dropped != next-eventLogCap {
 		t.Errorf("endpoint: meta %+v, %d events, footer %+v", meta, len(events), foot)
+	}
+}
+
+// TestLiveEventLogSummary summarizes the log of a live, unfinished
+// session: the header must carry the ticks run so far, so the summary
+// spans the whole run and the current level's dwell is not cut off at
+// the last logged event.
+func TestLiveEventLogSummary(t *testing.T) {
+	const ticks = 20
+	mgr := NewManager()
+	defer mgr.Shutdown(context.Background())
+	s, err := mgr.Create(SessionConfig{ID: "live", Scheme: "PAD", Racks: 2, ServersPerRack: 3, Paused: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := make([]float64, ticks*s.st.TotalServers())
+	for i := range u {
+		u[i] = 0.3
+	}
+	s.processFlat(flatBatch{u: u, samples: ticks})
+	meta, events, dropped := s.Events(0)
+	if s.metrics().Finished || len(events) != 1 || events[0].Kind != obs.KindLevel {
+		t.Fatalf("want a live session with one level event, got finished=%v events %v", s.metrics().Finished, events)
+	}
+	sum := obs.Summarize(meta, events, obs.Footer{Events: len(events), Dropped: dropped})
+	run := ticks * meta.Tick
+	if got := sum.Meta.Time(sum.Meta.Ticks); got != run {
+		t.Errorf("run length %v, want %v", got, run)
+	}
+	var dwell time.Duration
+	for _, d := range sum.Dwell {
+		dwell += d
+	}
+	if dwell != run {
+		t.Errorf("dwell %v covers %v of the %v run", sum.Dwell, dwell, run)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 const coasterResolution = 10 * time.Millisecond
 
 // shard is one slice of the fleet: a session map under its own mutex,
-// a run queue drained by a small fixed worker pool, and one coaster
+// a run queue drained by one worker goroutine, and one coaster
 // goroutine pacing the shard's wall-clock sessions. Sessions are
 // routed to shards by FNV hash of their id, so CRUD and ingest on
 // different shards never touch the same lock.
@@ -21,7 +21,7 @@ type shard struct {
 
 	// rollup is this shard's slice of the fleet aggregates; det points
 	// at the manager-wide detection-latency accounting. Both are plain
-	// atomics the executing workers update in place.
+	// atomics the executing worker updates in place.
 	rollup shardRollup
 	det    *detectionStats
 
@@ -39,18 +39,17 @@ type shard struct {
 	stopOnce sync.Once
 }
 
-func newShard(workers int, det *detectionStats) *shard {
+func newShard(det *detectionStats) *shard {
 	sh := &shard{
 		sessions: make(map[string]*Session),
+		rollup:   shardRollup{latency: newHistogram(tickLatency)},
 		det:      det,
 		wall:     make(map[*Session]time.Time),
 		wcQuit:   make(chan struct{}),
 	}
 	sh.runCond = sync.NewCond(&sh.runMu)
-	for i := 0; i < workers; i++ {
-		sh.workers.Add(1)
-		go sh.worker()
-	}
+	sh.workers.Add(1)
+	go sh.worker()
 	go sh.coaster()
 	return sh
 }
@@ -91,7 +90,7 @@ func (sh *shard) worker() {
 	}
 }
 
-// stopWorkers shuts the pool and coaster down after the queued work
+// stopWorkers shuts the worker and coaster down after the queued work
 // drains. Idempotent.
 func (sh *shard) stopWorkers() {
 	sh.stopOnce.Do(func() {

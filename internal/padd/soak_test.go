@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -742,53 +743,92 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition checks the Prometheus text format carries every
-// promised per-session signal.
+// TestMetricsExposition checks that a scrape's size does not grow with
+// the fleet: the same series with 1 session as with 64, none labelled
+// by session, and the one fleet tick-latency histogram counting every
+// tick every session stepped.
 func TestMetricsExposition(t *testing.T) {
-	mgr := padd.NewManager()
+	mgr := padd.NewManagerWith(padd.Options{Shards: 4})
 	defer mgr.Shutdown(context.Background())
 	srv := httptest.NewServer(padd.NewServer(mgr))
 	defer srv.Close()
 	c := &soakClient{t: t, base: srv.URL}
 
-	cfg := padd.SessionConfig{ID: "m1", Scheme: "PAD", Racks: 2, ServersPerRack: 3}
-	if code, body := c.post("/v1/sessions", cfg); code != http.StatusCreated {
-		t.Fatalf("create: HTTP %d: %s", code, body)
-	}
-	if code, body := c.post("/v1/sessions/m1/telemetry", batchOf(6, 20, 0.6)); code != http.StatusAccepted {
-		t.Fatalf("telemetry: HTTP %d: %s", code, body)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for c.status("m1").Ticks < 20 {
-		if time.Now().After(deadline) {
-			t.Fatal("session did not process the batch")
+	// grow creates sessions m<from>..m<to-1>, feeds each one batch of a
+	// length that varies by session, and waits until all have stepped.
+	grow := func(from, to int) {
+		for i := from; i < to; i++ {
+			id := fmt.Sprintf("m%d", i)
+			cfg := padd.SessionConfig{ID: id, Scheme: "PAD", Racks: 2, ServersPerRack: 3}
+			if code, body := c.post("/v1/sessions", cfg); code != http.StatusCreated {
+				t.Fatalf("create %s: HTTP %d: %s", id, code, body)
+			}
+			if code, body := c.post("/v1/sessions/"+id+"/telemetry", batchOf(6, 20+i%7, 0.6)); code != http.StatusAccepted {
+				t.Fatalf("telemetry %s: HTTP %d: %s", id, code, body)
+			}
 		}
-		time.Sleep(time.Millisecond)
+		deadline := time.Now().Add(10 * time.Second)
+		for i := from; i < to; i++ {
+			for c.status(fmt.Sprintf("m%d", i)).Ticks < int64(20+i%7) {
+				if time.Now().After(deadline) {
+					t.Fatalf("session m%d did not process its batch", i)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	// scrape returns the exposition's series (name and labels, values
+	// dropped) and the tick-latency histogram's count.
+	scrape := func(sessions int) (series []string, tickCount string) {
+		code, body := c.get("/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("metrics: HTTP %d", code)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			if strings.Contains(line, "session=") {
+				t.Errorf("%d sessions: series labelled by session: %s", sessions, line)
+			}
+			key, value, _ := strings.Cut(line, " ")
+			series = append(series, key)
+			switch key {
+			case "padd_sessions":
+				if value != fmt.Sprint(sessions) {
+					t.Errorf("padd_sessions = %s, want %d", value, sessions)
+				}
+			case "padd_tick_latency_seconds_count":
+				tickCount = value
+			}
+		}
+		return series, tickCount
+	}
+	// ticks sums the ticks every live session reports.
+	ticks := func() int64 {
+		code, body := c.get("/v1/sessions")
+		var list struct{ Sessions []padd.SessionStatus }
+		if err := json.Unmarshal(body, &list); code != http.StatusOK || err != nil {
+			t.Fatalf("list: HTTP %d, %v", code, err)
+		}
+		var n int64
+		for _, st := range list.Sessions {
+			n += st.Ticks
+		}
+		return n
 	}
 
-	code, body := c.get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics: HTTP %d", code)
+	grow(0, 1)
+	one, count := scrape(1)
+	if want := fmt.Sprint(ticks()); count != want {
+		t.Errorf("1 session: tick-latency count = %q, want %s", count, want)
 	}
-	text := string(body)
-	for _, want := range []string{
-		`padd_sessions 1`,
-		`padd_session_soc{session="m1"}`,
-		`padd_session_min_soc{session="m1"}`,
-		`padd_session_micro_soc{session="m1"}`,
-		`padd_session_level{session="m1"} 1`,
-		`padd_session_shed_servers{session="m1"}`,
-		`padd_session_shed_watts{session="m1"}`,
-		`padd_session_grid_watts{session="m1"}`,
-		`padd_session_breaker_margin_watts{session="m1"}`,
-		`padd_session_queue_depth{session="m1"} 0`,
-		`padd_session_ticks_total{session="m1"} 20`,
-		`padd_session_accepted_samples_total{session="m1"} 20`,
-		`padd_tick_latency_seconds_bucket{session="m1",le="+Inf"} 20`,
-		`padd_tick_latency_seconds_count{session="m1"} 20`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics exposition missing %q", want)
-		}
+	grow(1, 64)
+	many, count := scrape(64)
+	if want := fmt.Sprint(ticks()); count != want {
+		t.Errorf("64 sessions: tick-latency count = %q, want %s", count, want)
+	}
+	if !reflect.DeepEqual(one, many) {
+		t.Errorf("series differ between 1 and 64 sessions:\n1: %v\n64: %v", one, many)
 	}
 }
